@@ -2,9 +2,11 @@
 
 The optimized engine walks window offsets with whole-image array slices; the
 oracle variant is a literal per-pixel transcription kept for equivalence
-testing. One shared weight per pixel pair is applied to all channels. Offsets
-are accumulated as symmetric +/-x pairs so horizontally mirrored inputs
-produce exactly mirrored outputs.
+testing. Every weight factor is symmetric in the pixel pair, so the engine
+computes one weight per unordered pair, w(x, x + d) == w(x + d, x), and
+applies it to all channels and to both ends of the pair. Each window is
+summed in mirror quads, {+d, -d} pairs whose total no horizontal or vertical
+flip changes, so flipped inputs produce exactly flipped outputs.
 """
 
 from __future__ import annotations
@@ -31,12 +33,6 @@ class FilterMode(Enum):
     AVERAGE = "average"
 
 
-#: How the multilateral weight measures texture difference: the indicator
-#: metric over class labels (default, the tested path) or the Euclidean
-#: distance between the 4-orientation energy vectors (experimental).
-TEXTURE_METRICS = ("indicator", "energy")
-
-
 @dataclass(frozen=True)
 class FilterParams:
     """Window radius, the three weight scales, and the pass count.
@@ -58,6 +54,13 @@ class FilterParams:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
+            # The weights divide by sigma**2: a finite sigma whose square
+            # underflows to 0 or overflows has no usable inverse. inf is the
+            # documented limit (that factor becomes 1) and stays accepted.
+            square = value * value
+            if math.isfinite(value) and not (square > 0.0 and 0.0 < 0.5 / square < math.inf):
+                raise ValueError(f"{name} is out of range, got {value}: its square and "
+                                 f"the square's inverse must be finite and nonzero")
         if self.passes < 1:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
 
@@ -116,55 +119,72 @@ def _resolve_texture(current: ImageBuffer, pass_index: int, supplied: TextureMap
 
 
 def _filter_pass(work: np.ndarray, mode: FilterMode, params: FilterParams,
-                 policy: BoundaryPolicy, tex_field: np.ndarray | None,
-                 texture_metric: str) -> np.ndarray:
+                 policy: BoundaryPolicy, labels: np.ndarray | None) -> np.ndarray:
     h, w, _ = work.shape
     m = params.window_radius
-    padded = pad_field(work, m, policy)
+    # Channel planes first, so per-channel arithmetic runs over contiguous
+    # rows and the shared weight broadcasts over the leading axis.
+    padded = np.ascontiguousarray(np.moveaxis(pad_field(work, m, policy), -1, 0))
+    weighted = mode is not FilterMode.AVERAGE
+    neg_inv_2sr2 = -0.5 / (params.sigma_r ** 2)
     inv_2sd2 = 0.5 / (params.sigma_d ** 2)
-    inv_2sr2 = 0.5 / (params.sigma_r ** 2)
-    inv_2st2 = 0.5 / (params.sigma_t ** 2)
-
-    use_texture = mode is FilterMode.MULTILATERAL
-    if use_texture:
-        padded_tex = pad_field(tex_field, m, policy)
+    if labels is not None:
+        padded_labels = pad_field(labels, m, policy)
         # Indicator distance is 0/1, so the factor takes only two values.
-        cross_factor = math.exp(-inv_2st2)
+        cross_factor = math.exp(-0.5 / (params.sigma_t ** 2))
 
-    def offset_terms(di: int, dj: int):
-        rows = slice(m + dj, m + dj + h)
-        cols = slice(m + di, m + di + w)
-        diff = padded[rows, cols] - work
-        if mode is FilterMode.AVERAGE:
-            weight = np.ones((h, w))
-        else:
-            exponent = (diff * diff).sum(axis=2) * inv_2sr2 + (di * di + dj * dj) * inv_2sd2
-            weight = np.exp(-exponent)
-            if use_texture:
-                if texture_metric == "indicator":
-                    differs = padded_tex[rows, cols] != tex_field
-                    weight = weight * np.where(differs, cross_factor, 1.0)
-                else:
-                    ediff = padded_tex[rows, cols] - tex_field
-                    weight = weight * np.exp(-(ediff * ediff).sum(axis=2) * inv_2st2)
-        return weight[..., np.newaxis] * diff, weight
+    def pair_sums(di: int, dj: int):
+        """Numerator and denominator sums of offsets +d and -d, d = (di, dj) forward.
+
+        The pair (q, q + d) is weighted once for every centre q that a pixel
+        x reads: q = x for offset +d and q = x - d for offset -d. Both read
+        the same weight, and the weighted diff of -d is exactly the negation.
+        """
+        c0 = min(0, -di)
+        rows, cols = slice(m - dj, m + h), slice(m + c0, m + max(w, w - di))
+        rows_d = slice(rows.start + dj, rows.stop + dj)
+        cols_d = slice(cols.start + di, cols.stop + di)
+        fwd = (..., slice(dj, dj + h), slice(-c0, -c0 + w))
+        bwd = (..., slice(0, h), slice(-c0 - di, -c0 - di + w))
+        diff = padded[:, rows_d, cols_d] - padded[:, rows, cols]
+        if not weighted:
+            return diff[fwd] - diff[bwd], 2.0  # two unit weights
+        weight = np.square(diff[0])
+        for plane in diff[1:]:
+            weight += np.square(plane)
+        np.multiply(weight, neg_inv_2sr2, out=weight)
+        weight -= (di * di + dj * dj) * inv_2sd2
+        np.exp(weight, out=weight)
+        if labels is not None:
+            differs = padded_labels[rows_d, cols_d] != padded_labels[rows, cols]
+            np.multiply(weight, cross_factor, out=weight, where=differs)
+        diff *= weight
+        return diff[fwd] - diff[bwd], weight[fwd] + weight[bwd]
 
     # Contributions accumulate relative to the center sample, so constant
-    # regions pass through bit-exact (every diff is exactly zero).
-    numerator = np.zeros_like(work)
-    denominator = np.zeros((h, w))
-    for dj in range(-m, m + 1):
-        n0, d0 = offset_terms(0, dj)
-        numerator += n0
-        denominator += d0
+    # regions pass through bit-exact (every diff is exactly zero); the center
+    # itself has weight exactly 1. Offsets are summed in mirror sets: each
+    # axis pair +/-(k, 0), +/-(0, k) alone, and each diagonal pair
+    # +/-(di, dj) with its mirror +/-(-di, dj). A horizontal or vertical flip
+    # only swaps the operands of additions within a set, and IEEE addition
+    # commutes, so flipped inputs give exactly flipped outputs.
+    numerator = np.zeros((padded.shape[0], h, w))
+    denominator = np.ones((h, w)) if weighted else 1.0
+    for k in range(1, m + 1):
+        for di, dj in ((k, 0), (0, k)):
+            num, den = pair_sums(di, dj)
+            numerator += num
+            denominator += den
+    for dj in range(1, m + 1):
         for di in range(1, m + 1):
-            # Summing each +/-di pair before accumulating keeps horizontal
-            # mirroring bit-exact (pair sums are order-independent).
-            n_pos, d_pos = offset_terms(di, dj)
-            n_neg, d_neg = offset_terms(-di, dj)
-            numerator += n_pos + n_neg
-            denominator += d_pos + d_neg
-    return np.clip(work + numerator / denominator[..., np.newaxis], 0.0, 1.0)
+            num, den = pair_sums(di, dj)
+            num_b, den_b = pair_sums(-di, dj)
+            num += num_b
+            den += den_b
+            numerator += num
+            denominator += den
+    center = padded[:, m:m + h, m:m + w]
+    return np.moveaxis(np.clip(center + numerator / denominator, 0.0, 1.0), 0, -1)
 
 
 def filter_image(img: ImageBuffer, params: FilterParams | None = None,
@@ -172,8 +192,7 @@ def filter_image(img: ImageBuffer, params: FilterParams | None = None,
                  policy: BoundaryPolicy = BoundaryPolicy.REPLICATE,
                  texture: TextureMap | None = None, *,
                  texture_params: TextureParams | None = None,
-                 sigma_g: float = DEFAULT_SIGMA_G,
-                 texture_metric: str = "indicator") -> ImageBuffer:
+                 sigma_g: float = DEFAULT_SIGMA_G) -> ImageBuffer:
     """Run the selected filter for params.passes passes.
 
     Multilateral mode classifies texture from the grayscale of each pass's
@@ -184,22 +203,17 @@ def filter_image(img: ImageBuffer, params: FilterParams | None = None,
     """
     params = params or FilterParams()
     mode = FilterMode(mode)
-    if texture_metric not in TEXTURE_METRICS:
-        raise ValueError(f"texture_metric must be one of {TEXTURE_METRICS}, got {texture_metric!r}")
 
     current = img
     for pass_index in range(params.passes):
-        tex_field = None
+        labels = None
         if mode is FilterMode.MULTILATERAL:
             tex = _resolve_texture(current, pass_index, texture, texture_params,
                                    sigma_g, policy)
-            if texture_metric == "indicator":
-                tex_field = tex.labels
-            else:
-                tex_field = np.moveaxis(tex.energy.energies, 0, -1)
+            labels = tex.labels
         gray = current.channels == 1
         work = current.pixels[:, :, np.newaxis] if gray else current.pixels
-        out = _filter_pass(work, mode, params, policy, tex_field, texture_metric)
+        out = _filter_pass(work, mode, params, policy, labels)
         current = ImageBuffer(out[:, :, 0] if gray else out)
     return current
 

@@ -56,6 +56,17 @@ def test_filter_invalid_sigma_r_names_flag(tmp_path, gray_file, capsys):
     assert "sigma-r" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--sigma-r", "1e-300"), ("--sigma-d", "1e-200"), ("--sigma-d", "1e300"),
+    ("--sigma-r", "1e300"), ("--sigma-t", "1e-300")])
+def test_filter_sigma_out_of_range_is_usage_error(tmp_path, flag, value, capsys):
+    src = write_pnm(tmp_path / "a.pgm",
+                    ImageBuffer(np.random.default_rng(1).random((8, 8))))
+    code = main(["filter", flag, value, src, str(tmp_path / "b.pgm")])
+    assert code == 2
+    assert flag[2:] in capsys.readouterr().err
+
+
 def test_filter_invalid_mode(tmp_path, gray_file, capsys):
     code = main(["filter", "--mode", "sharpen", gray_file, str(tmp_path / "o.pgm")])
     assert code == 2

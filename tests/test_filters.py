@@ -110,6 +110,14 @@ def test_filter_params_validation_messages():
         FilterParams(window_radius=0)
     with pytest.raises(ValueError, match="passes"):
         FilterParams(passes=0)
+    # A finite sigma whose square underflows to 0 or overflows is rejected;
+    # inf (the documented limit) and large finite values stay valid.
+    for name in ("sigma_d", "sigma_r", "sigma_t"):
+        for value in (1e-300, 1e-200, 1e300):
+            with pytest.raises(ValueError, match=name):
+                FilterParams(**{name: value})
+    FilterParams(sigma_d=math.inf, sigma_r=math.inf, sigma_t=math.inf)
+    FilterParams(sigma_d=1e9, sigma_r=1e9, sigma_t=1e6)
 
 
 # --- filter identities and limits ---
@@ -168,22 +176,24 @@ def test_output_stays_in_window_hull():
 
 
 def test_horizontal_mirror_equivariance_is_exact():
+    # Horizontal and vertical flips, gray and RGB, every mode: exact.
     rng = np.random.default_rng(7)
     for trial in range(5):
-        img = ImageBuffer(rng.random((11, 10)))
-        mirrored = ImageBuffer(img.pixels[:, ::-1])
-        for policy in (REPLICATE, MIRROR):
-            a = filter_image(img, FilterParams(), FilterMode.BILATERAL, policy)
-            b = filter_image(mirrored, FilterParams(), FilterMode.BILATERAL, policy)
-            assert np.array_equal(a.pixels[:, ::-1], b.pixels)
-            tex = compute_texture_map(img, policy=policy)
-            tex_mirrored = TextureMap(
-                labels=tex.labels[:, ::-1],
-                energy=EnergyField(tex.energy.energies[:, :, ::-1]))
-            am = filter_image(img, FilterParams(), FilterMode.MULTILATERAL, policy, tex)
-            bm = filter_image(mirrored, FilterParams(), FilterMode.MULTILATERAL,
-                              policy, tex_mirrored)
-            assert np.array_equal(am.pixels[:, ::-1], bm.pixels)
+        for shape in ((11, 10), (9, 12, 3)):
+            img = ImageBuffer(rng.random(shape))
+            for policy in (REPLICATE, MIRROR):
+                tex = compute_texture_map(img, policy=policy)
+                for axis in (1, 0):
+                    flipped = ImageBuffer(np.flip(img.pixels, axis))
+                    tex_flipped = TextureMap(
+                        labels=np.flip(tex.labels, axis),
+                        energy=EnergyField(np.flip(tex.energy.energies, axis + 1)))
+                    for params in (FilterParams(), FilterParams(window_radius=3)):
+                        for mode in MODES:
+                            a = filter_image(img, params, mode, policy, tex)
+                            b = filter_image(flipped, params, mode, policy, tex_flipped)
+                            assert np.array_equal(np.flip(a.pixels, axis), b.pixels), \
+                                (shape, axis, policy, params.window_radius, mode)
 
 
 def test_identical_channel_rgb_filters_like_its_channels():
@@ -225,21 +235,6 @@ def test_texture_dimension_mismatch_raises():
                      texture=_flat_tex(4, 4))
 
 
-def test_energy_texture_metric_runs_and_limits_to_bilateral():
-    rng = np.random.default_rng(11)
-    img = ImageBuffer(rng.random((8, 8)))
-    out = filter_image(img, FilterParams(), FilterMode.MULTILATERAL,
-                       texture_metric="energy")
-    assert out.pixels.shape == (8, 8)
-    big = filter_image(img, FilterParams(sigma_t=1e9), FilterMode.MULTILATERAL,
-                       texture_metric="energy")
-    bi = filter_image(img, FilterParams(sigma_t=1e9), FilterMode.BILATERAL)
-    assert np.abs(big.pixels - bi.pixels).max() <= 1e-6
-    with pytest.raises(ValueError, match="texture_metric"):
-        filter_image(img, FilterParams(), FilterMode.MULTILATERAL,
-                     texture_metric="nope")
-
-
 # --- oracle equivalence ---
 
 def test_engine_matches_oracle_small_images():
@@ -266,6 +261,18 @@ def test_engine_matches_oracle_multipass_and_params():
         fast = filter_image(img, params, mode)
         slow = filter_oracle(img, params, mode)
         assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12
+
+
+def test_engine_matches_oracle_window_larger_than_image():
+    rng = np.random.default_rng(15)
+    params = FilterParams(window_radius=4)
+    for shape in ((1, 1), (1, 5), (3, 2), (2, 7, 3)):
+        img = ImageBuffer(rng.random(shape))
+        for policy in (REPLICATE, MIRROR):
+            for mode in MODES:
+                fast = filter_image(img, params, mode, policy)
+                slow = filter_oracle(img, params, mode, policy)
+                assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12, (shape, policy, mode)
 
 
 def test_oracle_constant_identity_within_rounding():
