@@ -26,7 +26,7 @@ from .image import (
     save_pnm,
     to_grayscale,
 )
-from .kernels import Kernel2D, convolve, gaussian_derivative_kernels, gaussian_kernel
+from .kernels import convolve, gaussian_derivative_taps
 from .metrics import (
     Direction,
     MetricsReport,
@@ -63,7 +63,6 @@ __all__ = [
     "FilterMode",
     "FilterParams",
     "ImageBuffer",
-    "Kernel2D",
     "MalformedHeaderError",
     "MetricsReport",
     "NoiseSpec",
@@ -85,8 +84,7 @@ __all__ = [
     "evaluate_pair",
     "filter_image",
     "filter_oracle",
-    "gaussian_derivative_kernels",
-    "gaussian_kernel",
+    "gaussian_derivative_taps",
     "grating",
     "load_pnm",
     "local_energy",

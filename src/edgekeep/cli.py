@@ -22,6 +22,7 @@ from .noise import NoiseSpec, add_noise
 from .texture import (
     DEFAULT_SIGMA_G,
     TextureParams,
+    check_sigma_g,
     compute_texture_map,
     texture_map_image,
 )
@@ -51,6 +52,7 @@ _FIELD_TO_FLAG = {
     "energy_window_radius": "energy-radius",
     "smooth_threshold": "smooth-threshold",
     "complex_ratio": "complex-ratio",
+    "sigma_g": "sigma-g",
     "kind": "noise",
 }
 
@@ -148,6 +150,15 @@ def _build_noise_spec(values: dict) -> NoiseSpec:
         raise UsageError(_flagify(str(exc))) from None
 
 
+def _get_sigma_g(values: dict) -> float:
+    sigma_g = _get_float(values, "sigma-g", DEFAULT_SIGMA_G)
+    try:
+        check_sigma_g(sigma_g)
+    except ValueError as exc:
+        raise UsageError(_flagify(str(exc))) from None
+    return sigma_g
+
+
 def _read_image(path: str) -> ImageBuffer:
     data = Path(path).read_bytes()
     try:
@@ -178,9 +189,7 @@ def cmd_filter(args) -> int:
                          f"got {mode_name!r}") from None
     params = _build_filter_params(values)
     texture_params = _build_texture_params(values)
-    sigma_g = _get_float(values, "sigma-g", DEFAULT_SIGMA_G)
-    if sigma_g <= 0.0:
-        raise UsageError(f"sigma-g must be positive, got {sigma_g}")
+    sigma_g = _get_sigma_g(values)
 
     img = _read_image(args.input)
     effective = {
@@ -204,9 +213,7 @@ def cmd_filter(args) -> int:
 def cmd_texture(args) -> int:
     values = _merged(args, _TEXTURE_KEYS)
     texture_params = _build_texture_params(values)
-    sigma_g = _get_float(values, "sigma-g", DEFAULT_SIGMA_G)
-    if sigma_g <= 0.0:
-        raise UsageError(f"sigma-g must be positive, got {sigma_g}")
+    sigma_g = _get_sigma_g(values)
     img = _read_image(args.input)
     effective = {
         "sigma-g": sigma_g,

@@ -16,7 +16,7 @@ from enum import IntEnum
 import numpy as np
 
 from .image import BoundaryPolicy, ImageBuffer, to_grayscale
-from .kernels import convolve, gaussian_derivative_kernels, window_mean
+from .kernels import convolve, gaussian_derivative_taps, window_mean
 
 #: Sub-band orientations in their fixed order (degrees).
 ORIENTATIONS_DEG = (0.0, 90.0, 45.0, -45.0)
@@ -50,6 +50,18 @@ class TextureClass(IntEnum):
 
 #: Gray level written for each class when a texture map is exported as PGM.
 EXPORT_GRAY_LEVELS = (0, 51, 102, 153, 204, 255)
+
+
+def check_sigma_g(sigma_g: float) -> None:
+    """Reject a sigma_g the derivative taps cannot be sampled at.
+
+    The taps divide by sigma_g**2, so sigma_g must be finite and positive
+    with a square, and an inverse square, that are finite and nonzero.
+    """
+    square = sigma_g * sigma_g
+    if not (0.0 < sigma_g < math.inf and 0.0 < square < math.inf and 0.5 / square < math.inf):
+        raise ValueError(f"sigma_g is out of range, got {sigma_g}: it must be finite and "
+                         f"positive, with a finite nonzero square and inverse square")
 
 
 def steerable_radius(sigma_g: float) -> int:
@@ -139,9 +151,13 @@ def decompose(img, sigma_g: float = DEFAULT_SIGMA_G,
               radius: int | None = None) -> SubBandSet:
     """Steer the Gaussian-derivative pair to the four fixed orientations.
 
-    The two base responses are convolved once; each band is then
-    cos(theta) * base_x + sin(theta) * base_y.
+    The two base responses are separable convolutions, d(u) g(v) along x
+    and g(u) d(v) along y, each a row pass and a column pass over
+    mirror-paired taps; each band is then cos(theta) * base_x +
+    sin(theta) * base_y. A horizontal or vertical flip of the input gives
+    exactly flipped band energies, with the 45 and -45 bands swapped.
     """
+    check_sigma_g(sigma_g)
     if isinstance(img, ImageBuffer):
         if img.channels != 1:
             raise ValueError("decompose expects a gray image")
@@ -150,10 +166,14 @@ def decompose(img, sigma_g: float = DEFAULT_SIGMA_G,
         field = np.asarray(img, dtype=np.float64)
     if radius is None:
         radius = steerable_radius(sigma_g)
-    kernel_x, kernel_y = gaussian_derivative_kernels(sigma_g, radius)
-    base_x = convolve(field, kernel_x, policy)
-    base_y = convolve(field, kernel_y, policy)
-    bands = np.stack([c * base_x + s * base_y for c, s in _STEERING])
+    g, d = gaussian_derivative_taps(sigma_g, radius)
+    base_x = convolve(field, g, d, policy)
+    base_y = convolve(field, d, g, policy)
+    bands = np.empty((len(_STEERING),) + base_x.shape)
+    scratch = np.empty_like(base_y)
+    for band, (c, s) in zip(bands, _STEERING):
+        np.multiply(base_x, c, out=band)
+        band += np.multiply(base_y, s, out=scratch)
     return SubBandSet(bands)
 
 
@@ -162,10 +182,8 @@ def local_energy(bands: SubBandSet, window_radius: int = 2,
     """Windowed mean of squared band coefficients, per orientation."""
     if window_radius < 1:
         raise ValueError(f"window_radius must be >= 1, got {window_radius}")
-    energies = np.stack(
-        [window_mean(band * band, window_radius, policy) for band in bands.bands])
-    # Squares can round to tiny negatives only through the window sum; clamp.
-    return EnergyField(np.maximum(energies, 0.0))
+    return EnergyField(np.stack(
+        [window_mean(band * band, window_radius, policy) for band in bands.bands]))
 
 
 def classify(energy: EnergyField, params: TextureParams | None = None) -> TextureMap:
@@ -174,7 +192,9 @@ def classify(energy: EnergyField, params: TextureParams | None = None) -> Textur
     Rules apply in precedence order: all four energies below the smooth
     threshold -> smooth; second-largest energy >= complex_ratio * largest ->
     complex; otherwise the orientation of the largest energy, ties resolved
-    by the fixed orientation order.
+    by the fixed orientation order. One sweep over the bands keeps the
+    running largest and second-largest energies; a later band takes the
+    label only when strictly larger, so the first orientation wins ties.
     """
     params = params or TextureParams()
     e = energy.energies
@@ -182,11 +202,18 @@ def classify(energy: EnergyField, params: TextureParams | None = None) -> Textur
     if threshold is None:
         threshold = max(ADAPTIVE_THRESHOLD_FRACTION * float(e.mean()),
                         _ADAPTIVE_THRESHOLD_FLOOR)
-    largest = e.max(axis=0)
-    second = np.partition(e, -2, axis=0)[-2]
-    labels = (e.argmax(axis=0) + int(TextureClass.ORIENT_0)).astype(np.uint8)
+    largest = e[0].copy()
+    second = np.full_like(largest, -np.inf)
+    labels = np.full(largest.shape, int(TextureClass.ORIENT_0), dtype=np.uint8)
+    smaller = np.empty_like(largest)
+    for k, band in enumerate(e[1:], start=1):
+        np.copyto(labels, int(TextureClass.ORIENT_0) + k, where=band > largest)
+        # The new second is the larger of the old second and whichever of
+        # (band, old largest) the new largest does not take.
+        np.maximum(second, np.minimum(band, largest, out=smaller), out=second)
+        np.maximum(largest, band, out=largest)
     labels[second >= params.complex_ratio * largest] = int(TextureClass.COMPLEX)
-    labels[(e < threshold).all(axis=0)] = int(TextureClass.SMOOTH)
+    labels[largest < threshold] = int(TextureClass.SMOOTH)
     return TextureMap(labels=labels, energy=energy)
 
 

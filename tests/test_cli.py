@@ -67,6 +67,16 @@ def test_filter_sigma_out_of_range_is_usage_error(tmp_path, flag, value, capsys)
     assert flag[2:] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "1e-300", "1e-160"])
+@pytest.mark.parametrize("command", [["filter", "--mode", "multilateral"], ["texture"]])
+def test_sigma_g_out_of_range_is_usage_error(tmp_path, command, value, capsys):
+    src = write_pnm(tmp_path / "a.pgm",
+                    ImageBuffer(np.random.default_rng(1).random((8, 8))))
+    code = main(command + [f"--sigma-g={value}", src, str(tmp_path / "b.pgm")])
+    assert code == 2
+    assert "sigma-g" in capsys.readouterr().err
+
+
 def test_filter_invalid_mode(tmp_path, gray_file, capsys):
     code = main(["filter", "--mode", "sharpen", gray_file, str(tmp_path / "o.pgm")])
     assert code == 2

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from edgekeep.image import BoundaryPolicy, ImageBuffer, load_pnm, save_pnm
-from edgekeep.kernels import gaussian_derivative_kernels, convolve
+from edgekeep.image import BoundaryPolicy, ImageBuffer, fold_index, load_pnm, save_pnm
+from edgekeep.kernels import convolve, gaussian_derivative_taps
 from edgekeep.texture import (
     EXPORT_GRAY_LEVELS,
     ORIENTATIONS_DEG,
@@ -25,6 +28,7 @@ from edgekeep.texture import (
 from edgekeep.synth import grating
 
 REPLICATE = BoundaryPolicy.REPLICATE
+POLICIES = st.sampled_from(list(BoundaryPolicy))
 
 # Margin excluded when checking grating interiors: steering kernel radius
 # plus the energy window radius.
@@ -46,9 +50,9 @@ def test_band0_is_exactly_base_response():
     rng = np.random.default_rng(0)
     img = ImageBuffer(rng.random((9, 9)))
     bands = decompose(img)
-    gx, gy = gaussian_derivative_kernels(1.0, steerable_radius(1.0))
-    assert np.array_equal(bands.band(0), convolve(img, gx))
-    assert np.array_equal(bands.band(1), convolve(img, gy))
+    g, d = gaussian_derivative_taps(1.0, steerable_radius(1.0))
+    assert np.array_equal(bands.band(0), convolve(img, g, d))
+    assert np.array_equal(bands.band(1), convolve(img, d, g))
 
 
 def test_band45_is_steered_combination():
@@ -67,6 +71,48 @@ def test_orientation_order_is_fixed():
 def test_decompose_rejects_rgb():
     with pytest.raises(ValueError):
         decompose(ImageBuffer(np.zeros((4, 4, 3))))
+
+
+@pytest.mark.parametrize("sigma_g", [0.0, -1.0, math.inf, math.nan, 1e-300, 1e-160, 1e300])
+def test_decompose_rejects_out_of_range_sigma_g(sigma_g):
+    img = ImageBuffer(np.full((8, 8), 0.5))
+    with pytest.raises(ValueError, match="sigma_g"):
+        decompose(img, sigma_g)
+    with pytest.raises(ValueError, match="sigma_g"):
+        compute_texture_map(img, sigma_g=sigma_g)
+
+
+def decompose_oracle(field, sigma_g, policy):
+    """Per-pixel sums over the 2-D analytic derivative taps, then steering."""
+    r = steerable_radius(sigma_g)
+    offsets = np.arange(-r, r + 1)
+    u, v = offsets[np.newaxis, :], offsets[:, np.newaxis]
+    gx = -u / sigma_g**2 * np.exp(-(u * u + v * v) / (2 * sigma_g**2))
+    gy = gx.T
+    h, w = field.shape
+    base_x, base_y = np.zeros((h, w)), np.zeros((h, w))
+    for y in range(h):
+        for x in range(w):
+            rows = [fold_index(y - j, h, policy) for j in offsets]
+            cols = [fold_index(x - i, w, policy) for i in offsets]
+            window = field[np.ix_(rows, cols)]  # window[v + r, u + r] = field(x - u, y - v)
+            base_x[y, x] = (gx * window).sum()
+            base_y[y, x] = (gy * window).sum()
+    angles = [math.radians(deg) for deg in ORIENTATIONS_DEG]
+    return np.stack([math.cos(a) * base_x + math.sin(a) * base_y for a in angles])
+
+
+def gray_fields(max_side):
+    shapes = st.tuples(st.integers(1, max_side), st.integers(1, max_side))
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=gray_fields(12), policy=POLICIES, sigma_g=st.sampled_from([0.5, 1.0, 1.5]))
+def test_decompose_matches_analytic_oracle(field, policy, sigma_g):
+    # Sides from 1 to 12 against radii 3 and 6: many windows exceed the image.
+    bands = decompose(field, sigma_g, policy).bands
+    assert np.abs(bands - decompose_oracle(field, sigma_g, policy)).max() <= 1e-12
 
 
 # --- local energy ---
@@ -145,6 +191,31 @@ def test_rule_precedence_smooth_first():
     assert tex.labels[0, 0] == TextureClass.SMOOTH
 
 
+def classify_reference(e, params):
+    """The stack/partition/argmax form of the three-rule cascade."""
+    threshold = params.smooth_threshold
+    if threshold is None:
+        threshold = max(0.1 * float(e.mean()), 1e-12)
+    largest = e.max(axis=0)
+    second = np.partition(e, -2, axis=0)[-2]
+    labels = (e.argmax(axis=0) + int(TextureClass.ORIENT_0)).astype(np.uint8)
+    labels[second >= params.complex_ratio * largest] = int(TextureClass.COMPLEX)
+    labels[(e < threshold).all(axis=0)] = int(TextureClass.SMOOTH)
+    return labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+           lambda hw: arrays(np.float64, (4,) + hw, elements=st.integers(0, 4).map(float))),
+       threshold=st.one_of(st.none(), st.integers(0, 5).map(float)),
+       ratio=st.sampled_from([0.25, 0.5, 0.75, 0.8, 1.0]))
+def test_classify_matches_argmax_partition_rule(e, threshold, ratio):
+    # Small integer energies make exact ties between bands common.
+    params = TextureParams(smooth_threshold=threshold, complex_ratio=ratio)
+    assert np.array_equal(classify(EnergyField(e), params).labels,
+                          classify_reference(e, params))
+
+
 def test_every_pixel_gets_exactly_one_valid_label():
     rng = np.random.default_rng(3)
     energy = EnergyField(rng.random((4, 12, 11)))
@@ -184,6 +255,24 @@ def test_rot90_swaps_axis_labels():
     lab_rot = interior(compute_texture_map(rotated).labels)
     assert np.all(lab == TextureClass.ORIENT_0)
     assert np.all(lab_rot == TextureClass.ORIENT_90)
+
+
+#: Label permutation a horizontal or vertical flip applies: 45 <-> -45.
+_FLIP_LABELS = np.array([TextureClass.SMOOTH, TextureClass.COMPLEX, TextureClass.ORIENT_0,
+                         TextureClass.ORIENT_90, TextureClass.ORIENT_NEG_45,
+                         TextureClass.ORIENT_45], dtype=np.uint8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=gray_fields(16), policy=POLICIES, axis=st.sampled_from([0, 1]),
+       sigma_g=st.sampled_from([0.5, 1.0, 1.5]), threshold=st.floats(0.0, 0.2))
+def test_flips_are_exact_with_diagonals_swapped(field, policy, axis, sigma_g, threshold):
+    params = TextureParams(smooth_threshold=threshold)
+    energy = local_energy(decompose(field, sigma_g, policy), 2, policy)
+    flipped = local_energy(decompose(np.flip(field, axis), sigma_g, policy), 2, policy)
+    assert np.array_equal(flipped.energies, np.flip(energy.energies[[0, 1, 3, 2]], axis + 1))
+    labels = classify(energy, params).labels
+    assert np.array_equal(classify(flipped, params).labels, np.flip(_FLIP_LABELS[labels], axis))
 
 
 def test_texture_params_validation():
