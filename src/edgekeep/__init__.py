@@ -11,8 +11,6 @@ from .filters import (
     FilterParams,
     filter_image,
     filter_oracle,
-    weight_bilateral,
-    weight_multilateral,
 )
 from .image import (
     BoundaryPolicy,
@@ -22,7 +20,6 @@ from .image import (
     TruncatedPayloadError,
     UnsupportedMaxvalError,
     load_pnm,
-    sample_at,
     save_pnm,
     to_grayscale,
 )
@@ -48,7 +45,6 @@ from .texture import (
     compute_texture_map,
     decompose,
     local_energy,
-    texture_distance,
     texture_map_image,
 )
 
@@ -89,14 +85,10 @@ __all__ = [
     "load_pnm",
     "local_energy",
     "run_bench",
-    "sample_at",
     "save_pnm",
     "snr",
     "step_edge",
-    "texture_distance",
     "texture_map_image",
     "to_grayscale",
     "two_texture",
-    "weight_bilateral",
-    "weight_multilateral",
 ]

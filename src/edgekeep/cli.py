@@ -2,17 +2,22 @@
 
 Options can come from flags or from a flat JSON config file whose keys mirror
 the flag names; flags override the file, unknown config keys are rejected.
+Every command echoes its effective options, once validated, as one
+`config: {...}` JSON line on stderr that `--config` accepts back unchanged.
 Exit codes: 0 success, 1 I/O failure, 2 invalid parameters.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from .bench import DEFAULT_BASE_SEED, report_to_csv, report_to_markdown, run_bench
 from .filters import FilterMode, FilterParams, filter_image
@@ -24,6 +29,7 @@ from .texture import (
     TextureParams,
     check_sigma_g,
     compute_texture_map,
+    steerable_radius,
     texture_map_image,
 )
 
@@ -33,130 +39,111 @@ EXIT_USAGE = 2
 
 REPORT_FORMATS = ("text", "csv", "markdown")
 
-# Config keys each command accepts (mirroring its flag names).
-_FILTER_KEYS = ("mode", "radius", "sigma-d", "sigma-r", "sigma-t", "passes",
-                "sigma-g", "energy-radius", "smooth-threshold", "complex-ratio")
-_TEXTURE_KEYS = ("sigma-g", "energy-radius", "smooth-threshold", "complex-ratio")
-_NOISE_KEYS = ("noise", "density", "std", "seed")
-_METRICS_KEYS = ("report",)
-_BENCH_KEYS = ("seed",)
-
-_INT_KEYS = {"radius", "passes", "seed", "energy-radius"}
-
-# Dataclass field names -> flag names, for error messages.
-_FIELD_TO_FLAG = {
-    "window_radius": "radius",
-    "sigma_d": "sigma-d",
-    "sigma_r": "sigma-r",
-    "sigma_t": "sigma-t",
-    "energy_window_radius": "energy-radius",
-    "smooth_threshold": "smooth-threshold",
-    "complex_ratio": "complex-ratio",
-    "sigma_g": "sigma-g",
-    "kind": "noise",
-}
+#: A radius above max(height, width, RADIUS_FLOOR) is rejected: past the image
+#: size it only repeats edge samples, while the padded fields grow with its
+#: square, so an unbounded radius is an unbounded allocation.
+RADIUS_FLOOR = 64
 
 
-class UsageError(Exception):
-    """Invalid parameters; maps to exit status 2."""
+class Option(NamedTuple):
+    flag: str  # without the leading "--"; also the config key
+    type: type  # int, float or str
+    default: object
+    help: str
+    field: str  # the library parameter the value is passed as
+    commands: tuple[str, ...]
 
 
-def _flagify(message: str) -> str:
-    for field, flag in _FIELD_TO_FLAG.items():
-        message = message.replace(field, flag)
-    return message
+_FILTER, _TEXTURE, _NOISE = ("filter",), ("filter", "texture"), ("add-noise",)
+# flag, type, default, help, library field, commands
+OPTIONS = tuple(Option(*row) for row in (
+    ("mode", str, "bilateral", "bilateral | multilateral | average", "mode", _FILTER),
+    ("radius", int, 2, "window radius m", "window_radius", _FILTER),
+    ("sigma-d", float, 2.0, "spatial scale (pixels)", "sigma_d", _FILTER),
+    ("sigma-r", float, 0.1, "range scale (intensity)", "sigma_r", _FILTER),
+    ("sigma-t", float, 1.0, "texture scale (multilateral)", "sigma_t", _FILTER),
+    ("passes", int, 1, "filtering passes", "passes", _FILTER),
+    ("sigma-g", float, DEFAULT_SIGMA_G, "steerable base Gaussian scale", "sigma_g", _TEXTURE),
+    ("energy-radius", int, 2, "texture energy window radius", "energy_window_radius", _TEXTURE),
+    ("smooth-threshold", float, None, "absolute smooth threshold", "smooth_threshold", _TEXTURE),
+    ("complex-ratio", float, 0.8, "complex-texture energy ratio", "complex_ratio", _TEXTURE),
+    ("noise", str, "salt-pepper", "salt-pepper | gaussian", "kind", _NOISE),
+    ("density", float, 0.05, "salt-pepper corruption fraction", "density", _NOISE),
+    ("std", float, 0.05, "gaussian standard deviation", "std", _NOISE),
+    ("seed", int, 0, "PRNG seed", "seed", _NOISE),
+    ("report", str, "text", "text | csv | markdown", "report", ("metrics",)),
+    ("seed", int, DEFAULT_BASE_SEED, "base seed for all noise realizations", "base_seed",
+     ("bench",)),
+))
+
+_FLAG_OF = {opt.field: opt.flag for opt in OPTIONS}
+
+# The flags setting a radius that texture classification pads by.
+_TEXTURE_RADII = ("energy-radius", "sigma-g")
 
 
-def _load_config(path: str, keys) -> dict:
-    text = Path(path).read_text()
+def _options(command: str) -> list[Option]:
+    return [opt for opt in OPTIONS if command in opt.commands]
+
+
+def _load_config(path: str, flags) -> dict:
     try:
-        config = json.loads(text)
+        config = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from None
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
-        raise UsageError(f"config {path} must hold a flat JSON object")
-    unknown = sorted(set(config) - set(keys))
+        raise ValueError(f"config {path} must hold a flat JSON object")
+    unknown = sorted(set(config) - set(flags))
     if unknown:
-        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     return config
 
 
-def _merged(args, keys) -> dict:
-    """Config-file values overridden by explicitly given flags."""
+def _convert(opt: Option, value):
+    """A flag or config value as the option's type; None selects the default."""
+    if value is None or opt.type is str:
+        return opt.default if value is None else value
+    try:
+        if opt.type is int and (isinstance(value, bool)
+                                or isinstance(value, float) and not value.is_integer()):
+            raise TypeError
+        return opt.type(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if opt.type is int else "a number"
+        raise ValueError(f"{opt.flag} must be {noun}, got {value!r}") from None
+
+
+def _resolve(args) -> dict:
+    """The command's options by flag: flag over config file over default."""
+    options = _options(args.command)
+    config = _load_config(args.config, [opt.flag for opt in options]) if args.config else {}
     values = {}
-    if getattr(args, "config", None):
-        values.update(_load_config(args.config, keys))
-    for key in keys:
-        flag_value = getattr(args, key.replace("-", "_"), None)
-        if flag_value is not None:
-            values[key] = flag_value
+    for opt in options:
+        value = getattr(args, opt.flag.replace("-", "_"))
+        values[opt.flag] = _convert(opt, config.get(opt.flag) if value is None else value)
     return values
 
 
-def _get_int(values: dict, key: str, default: int) -> int:
-    if key not in values or values[key] is None:
-        return default
-    value = values[key]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise UsageError(f"{key} must be an integer, got {value!r}")
+def _construct(make, values: dict):
+    """Call make with the option values its parameters name, by library field.
+
+    Library messages open with the field name; that word becomes the flag.
+    """
+    kwargs = {name: values[_FLAG_OF[name]] for name in inspect.signature(make).parameters
+              if _FLAG_OF.get(name) in values}
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be an integer, got {value!r}") from None
-
-
-def _get_float(values: dict, key: str, default: float | None) -> float | None:
-    if key not in values or values[key] is None:
-        return default
-    try:
-        return float(values[key])
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be a number, got {values[key]!r}") from None
-
-
-def _build_filter_params(values: dict) -> FilterParams:
-    try:
-        return FilterParams(
-            window_radius=_get_int(values, "radius", 2),
-            sigma_d=_get_float(values, "sigma-d", 2.0),
-            sigma_r=_get_float(values, "sigma-r", 0.1),
-            sigma_t=_get_float(values, "sigma-t", 1.0),
-            passes=_get_int(values, "passes", 1),
-        )
+        return make(**kwargs)
     except ValueError as exc:
-        raise UsageError(_flagify(str(exc))) from None
+        raise ValueError(re.sub(r"^\w+", lambda m: _FLAG_OF.get(m[0], m[0]), str(exc))) from None
 
 
-def _build_texture_params(values: dict) -> TextureParams:
-    try:
-        return TextureParams(
-            energy_window_radius=_get_int(values, "energy-radius", 2),
-            smooth_threshold=_get_float(values, "smooth-threshold", None),
-            complex_ratio=_get_float(values, "complex-ratio", 0.8),
-        )
-    except ValueError as exc:
-        raise UsageError(_flagify(str(exc))) from None
-
-
-def _build_noise_spec(values: dict) -> NoiseSpec:
-    try:
-        return NoiseSpec(
-            kind=values.get("noise", "salt-pepper"),
-            density=_get_float(values, "density", 0.05),
-            std=_get_float(values, "std", 0.05),
-            seed=_get_int(values, "seed", 0),
-        )
-    except ValueError as exc:
-        raise UsageError(_flagify(str(exc))) from None
-
-
-def _get_sigma_g(values: dict) -> float:
-    sigma_g = _get_float(values, "sigma-g", DEFAULT_SIGMA_G)
-    try:
-        check_sigma_g(sigma_g)
-    except ValueError as exc:
-        raise UsageError(_flagify(str(exc))) from None
-    return sigma_g
+def _check_radii(img: ImageBuffer, values: dict, flags):
+    limit = max(img.height, img.width, RADIUS_FLOOR)
+    for flag in flags:
+        radius = steerable_radius(values[flag]) if flag == "sigma-g" else values[flag]
+        if radius > limit:
+            raise ValueError(f"{flag} {values[flag]} sets a radius above {limit}, the largest "
+                             f"of the image height, width and {RADIUS_FLOOR}")
 
 
 def _read_image(path: str) -> ImageBuffer:
@@ -167,10 +154,6 @@ def _read_image(path: str) -> ImageBuffer:
         raise PnmError(f"{path}: {exc.args[0]}", exc.offset) from None
 
 
-def _write_image(path: str, img: ImageBuffer):
-    Path(path).write_bytes(save_pnm(img))
-
-
 def _echo_config(values: dict):
     print(f"config: {json.dumps(values, sort_keys=True)}", file=sys.stderr)
 
@@ -179,73 +162,54 @@ def _metric_str(value: float | None, none_word: str) -> str:
     return none_word if value is None else f"{value:.6f}"
 
 
-def cmd_filter(args) -> int:
-    values = _merged(args, _FILTER_KEYS)
-    mode_name = values.get("mode", "bilateral")
-    try:
-        mode = FilterMode(mode_name)
-    except ValueError:
-        raise UsageError(f"mode must be one of bilateral, multilateral, average; "
-                         f"got {mode_name!r}") from None
-    params = _build_filter_params(values)
-    texture_params = _build_texture_params(values)
-    sigma_g = _get_sigma_g(values)
-
+def cmd_filter(args, values: dict) -> int:
+    modes = [m.value for m in FilterMode]
+    if values["mode"] not in modes:
+        raise ValueError(f"mode must be one of {', '.join(modes)}; got {values['mode']!r}")
+    mode = FilterMode(values["mode"])
+    params = _construct(FilterParams, values)
+    texture_params = _construct(TextureParams, values)
+    _construct(check_sigma_g, values)
     img = _read_image(args.input)
-    effective = {
-        "mode": mode.value, "radius": params.window_radius,
-        "sigma-d": params.sigma_d, "sigma-r": params.sigma_r,
-        "sigma-t": params.sigma_t, "passes": params.passes, "sigma-g": sigma_g,
-        "energy-radius": texture_params.energy_window_radius,
-        "smooth-threshold": texture_params.smooth_threshold,
-        "complex-ratio": texture_params.complex_ratio,
-    }
-    _echo_config(effective)
+    texture_radii = _TEXTURE_RADII if mode is FilterMode.MULTILATERAL else ()
+    _check_radii(img, values, ("radius",) + texture_radii)
+    _echo_config(values)
     start = time.perf_counter()
-    out = filter_image(img, params, mode, texture_params=texture_params, sigma_g=sigma_g)
+    out = filter_image(img, params, mode, texture_params=texture_params,
+                       sigma_g=values["sigma-g"])
     elapsed = time.perf_counter() - start
     print(f"filtered {img.width}x{img.height} in {elapsed:.3f}s "
           f"({elapsed / params.passes:.3f}s/pass)", file=sys.stderr)
-    _write_image(args.output, out)
+    Path(args.output).write_bytes(save_pnm(out))
     return EXIT_OK
 
 
-def cmd_texture(args) -> int:
-    values = _merged(args, _TEXTURE_KEYS)
-    texture_params = _build_texture_params(values)
-    sigma_g = _get_sigma_g(values)
+def cmd_texture(args, values: dict) -> int:
+    texture_params = _construct(TextureParams, values)
+    _construct(check_sigma_g, values)
     img = _read_image(args.input)
-    effective = {
-        "sigma-g": sigma_g,
-        "energy-radius": texture_params.energy_window_radius,
-        "smooth-threshold": texture_params.smooth_threshold,
-        "complex-ratio": texture_params.complex_ratio,
-    }
-    _echo_config(effective)
+    _check_radii(img, values, _TEXTURE_RADII)
+    _echo_config(values)
     start = time.perf_counter()
-    tex = compute_texture_map(img, texture_params, sigma_g)
+    tex = compute_texture_map(img, texture_params, values["sigma-g"])
     elapsed = time.perf_counter() - start
     print(f"classified {img.width}x{img.height} in {elapsed:.3f}s", file=sys.stderr)
-    _write_image(args.output, texture_map_image(tex))
+    Path(args.output).write_bytes(save_pnm(texture_map_image(tex)))
     return EXIT_OK
 
 
-def cmd_add_noise(args) -> int:
-    values = _merged(args, _NOISE_KEYS)
-    spec = _build_noise_spec(values)
+def cmd_add_noise(args, values: dict) -> int:
+    spec = _construct(NoiseSpec, values)
     img = _read_image(args.input)
-    effective = {"noise": spec.kind, "density": spec.density,
-                 "std": spec.std, "seed": spec.seed}
-    _echo_config(effective)
-    _write_image(args.output, add_noise(img, spec))
+    _echo_config(values)
+    Path(args.output).write_bytes(save_pnm(add_noise(img, spec)))
     return EXIT_OK
 
 
-def cmd_metrics(args) -> int:
-    values = _merged(args, _METRICS_KEYS)
-    report_format = values.get("report", "text")
+def cmd_metrics(args, values: dict) -> int:
+    report_format = values["report"]
     if report_format not in REPORT_FORMATS:
-        raise UsageError(f"report must be one of {', '.join(REPORT_FORMATS)}; "
+        raise ValueError(f"report must be one of {', '.join(REPORT_FORMATS)}; "
                          f"got {report_format!r}")
     input_img = _read_image(args.input)
     filtered_img = _read_image(args.filtered)
@@ -258,48 +222,41 @@ def cmd_metrics(args) -> int:
     if args.clean:
         clean_img = _read_image(args.clean)
         pairs.append(("snr_clean_db", _metric_str(snr(clean_img, filtered_img), "identical")))
+    _echo_config(values)
 
     if report_format == "text":
-        for key, value in pairs:
-            print(f"{key}={value}")
+        lines = [f"{key}={value}" for key, value in pairs]
     elif report_format == "csv":
-        print(",".join(key for key, _ in pairs))
-        print(",".join(value for _, value in pairs))
+        lines = [",".join(column) for column in zip(*pairs)]
     else:
-        print("| metric | value |")
-        print("| --- | --- |")
-        for key, value in pairs:
-            print(f"| {key} | {value} |")
+        lines = ["| metric | value |", "| --- | --- |"]
+        lines += [f"| {key} | {value} |" for key, value in pairs]
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def _thread_cap() -> int:
-    raw = os.environ.get("EDGEKEEP_THREADS")
-    if raw is None or raw == "":
-        return 1
+    raw = os.environ.get("EDGEKEEP_THREADS") or "1"
     try:
         cap = int(raw)
     except ValueError:
-        raise UsageError(f"EDGEKEEP_THREADS must be an integer, got {raw!r}") from None
+        raise ValueError(f"EDGEKEEP_THREADS must be an integer, got {raw!r}") from None
     if cap < 1:
-        raise UsageError(f"EDGEKEEP_THREADS must be >= 1, got {cap}")
+        raise ValueError(f"EDGEKEEP_THREADS must be >= 1, got {cap}")
     return cap
 
 
-def cmd_bench(args) -> int:
-    values = _merged(args, _BENCH_KEYS)
-    base_seed = _get_int(values, "seed", DEFAULT_BASE_SEED)
-
+def cmd_bench(args, values: dict) -> int:
     images = None
     if args.images:
         missing = [p for p in args.images if not Path(p).is_file()]
         if missing:
-            print(f"edgekeep: missing test image(s): {', '.join(missing)}",
-                  file=sys.stderr)
-            return EXIT_IO
+            raise FileNotFoundError(f"missing test image(s): {', '.join(missing)}")
         images = [(Path(p).stem, _read_image(p)) for p in args.images]
+    threads = _thread_cap()
+    _echo_config(values)
 
-    report = run_bench(images, base_seed, threads=_thread_cap())
+    report = run_bench(images, values["seed"], threads=threads)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "bench.csv"
@@ -310,66 +267,36 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+# command: (handler, help, arguments added before the table's options)
+_IN_OUT = [("input", {}), ("output", {})]
+_COMMANDS = {
+    "filter": (cmd_filter, "filter an image", _IN_OUT),
+    "texture": (cmd_texture, "write the 6-level texture map as PGM", _IN_OUT),
+    "add-noise": (cmd_add_noise, "corrupt an image with seeded noise", _IN_OUT),
+    "metrics": (cmd_metrics, "SNR and edge-preserving exponents for a pair", [
+        ("input", {"help": "the image that was fed to the filter"}),
+        ("filtered", {"help": "the filter output"}),
+        ("--clean", {"help": "optional clean reference for a separate SNR"})]),
+    "bench": (cmd_bench, "run the benchmark sweeps and write reports", [
+        ("outdir", {"help": "directory for bench.csv and bench.md"}),
+        ("images", {"nargs": "*", "help": "optional PNM test images "
+                                          "(defaults to bundled synthetics)"})]),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgekeep",
         description="Edge-preserving bilateral/multilateral image filtering toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_config(p):
+    for command, (handler, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, kwargs in arguments:
+            p.add_argument(name, **kwargs)
+        for opt in _options(command):
+            p.add_argument(f"--{opt.flag}", type=opt.type, help=opt.help)
         p.add_argument("--config", help="flat JSON config file; flags override it")
-
-    f = sub.add_parser("filter", help="filter an image")
-    f.add_argument("input")
-    f.add_argument("output")
-    f.add_argument("--mode", help="bilateral | multilateral | average")
-    f.add_argument("--radius", type=int, help="window radius m")
-    f.add_argument("--sigma-d", type=float, help="spatial scale (pixels)")
-    f.add_argument("--sigma-r", type=float, help="range scale (intensity)")
-    f.add_argument("--sigma-t", type=float, help="texture scale (multilateral)")
-    f.add_argument("--passes", type=int, help="filtering passes")
-    f.add_argument("--sigma-g", type=float, help="steerable base Gaussian scale")
-    f.add_argument("--energy-radius", type=int, help="texture energy window radius")
-    f.add_argument("--smooth-threshold", type=float, help="absolute smooth threshold")
-    f.add_argument("--complex-ratio", type=float, help="complex-texture energy ratio")
-    add_config(f)
-    f.set_defaults(func=cmd_filter)
-
-    t = sub.add_parser("texture", help="write the 6-level texture map as PGM")
-    t.add_argument("input")
-    t.add_argument("output")
-    t.add_argument("--sigma-g", type=float, help="steerable base Gaussian scale")
-    t.add_argument("--energy-radius", type=int, help="texture energy window radius")
-    t.add_argument("--smooth-threshold", type=float, help="absolute smooth threshold")
-    t.add_argument("--complex-ratio", type=float, help="complex-texture energy ratio")
-    add_config(t)
-    t.set_defaults(func=cmd_texture)
-
-    n = sub.add_parser("add-noise", help="corrupt an image with seeded noise")
-    n.add_argument("input")
-    n.add_argument("output")
-    n.add_argument("--noise", help="salt-pepper | gaussian")
-    n.add_argument("--density", type=float, help="salt-pepper corruption fraction")
-    n.add_argument("--std", type=float, help="gaussian standard deviation")
-    n.add_argument("--seed", type=int, help="PRNG seed")
-    add_config(n)
-    n.set_defaults(func=cmd_add_noise)
-
-    m = sub.add_parser("metrics", help="SNR and edge-preserving exponents for a pair")
-    m.add_argument("input", help="the image that was fed to the filter")
-    m.add_argument("filtered", help="the filter output")
-    m.add_argument("--clean", help="optional clean reference for a separate SNR")
-    m.add_argument("--report", help="text | csv | markdown")
-    add_config(m)
-    m.set_defaults(func=cmd_metrics)
-
-    b = sub.add_parser("bench", help="run the benchmark sweeps and write reports")
-    b.add_argument("outdir", help="directory for bench.csv and bench.md")
-    b.add_argument("images", nargs="*", help="optional PNM test images "
-                                             "(defaults to bundled synthetics)")
-    b.add_argument("--seed", type=int, help="base seed for all noise realizations")
-    add_config(b)
-    b.set_defaults(func=cmd_bench)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -379,16 +306,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"edgekeep: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return args.handler(args, _resolve(args))
     except (PnmError, OSError) as exc:
         print(f"edgekeep: error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
-        # domain validation surfacing through a command (e.g. mismatched
-        # metric image shapes)
+        # invalid parameters, or a domain check such as metric image shapes
         print(f"edgekeep: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,7 +33,7 @@ class NoiseSpec:
             raise ValueError(f"kind must be one of {NOISE_KINDS}, got {self.kind!r}")
         if not 0.0 <= self.density <= 1.0:
             raise ValueError(f"density must lie in [0, 1], got {self.density}")
-        if self.std < 0.0:
+        if not self.std >= 0.0:
             raise ValueError(f"std must be >= 0, got {self.std}")
 
 

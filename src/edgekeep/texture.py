@@ -118,7 +118,7 @@ class TextureParams:
         if self.energy_window_radius < 1:
             raise ValueError(
                 f"energy_window_radius must be >= 1, got {self.energy_window_radius}")
-        if self.smooth_threshold is not None and self.smooth_threshold < 0.0:
+        if self.smooth_threshold is not None and not self.smooth_threshold >= 0.0:
             raise ValueError(f"smooth_threshold must be >= 0, got {self.smooth_threshold}")
         if not 0.0 < self.complex_ratio <= 1.0:
             raise ValueError(f"complex_ratio must lie in (0, 1], got {self.complex_ratio}")

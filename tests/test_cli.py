@@ -1,6 +1,9 @@
 """CLI behavior: commands, config handling, exit codes, and determinism."""
 
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,18 +119,136 @@ def test_unknown_config_key_rejected(tmp_path, gray_file, capsys):
     assert "sigma-x" in capsys.readouterr().err
 
 
+def _echo_line(capsys) -> str:
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("config: ")]
+    assert len(lines) == 1
+    return lines[0][len("config: "):]
+
+
+def _positionals(command, tmp_path, gray_file):
+    if command == "metrics":
+        return [gray_file, gray_file]
+    if command == "bench":
+        return [str(tmp_path / "bench"), gray_file]
+    return [gray_file, str(tmp_path / "out.pgm")]
+
+
 def test_config_echo_round_trips(tmp_path, gray_file, capsys):
-    out = tmp_path / "out.pgm"
-    assert main(["filter", "--mode", "multilateral", "--sigma-d", "1.5",
-                 gray_file, str(out)]) == 0
-    err = capsys.readouterr().err
-    echoed = next(line for line in err.splitlines() if line.startswith("config: "))
+    non_default_flags = {
+        "filter": ["--mode", "multilateral", "--sigma-d", "1.5"],
+        "texture": ["--energy-radius", "3", "--smooth-threshold", "0.01"],
+        "add-noise": ["--noise", "gaussian", "--std", "0.2", "--seed", "7"],
+        "metrics": ["--report", "csv"],
+        "bench": ["--seed", "5"],
+    }
     cfg = tmp_path / "echo.json"
-    cfg.write_text(echoed[len("config: "):])
-    assert main(["filter", "--config", str(cfg), gray_file, str(out)]) == 0
-    err2 = capsys.readouterr().err
-    echoed2 = next(line for line in err2.splitlines() if line.startswith("config: "))
-    assert echoed2 == echoed
+    for command, flags in non_default_flags.items():
+        positionals = _positionals(command, tmp_path, gray_file)
+        assert main([command] + flags + positionals) == 0
+        echoed = _echo_line(capsys)
+        cfg.write_text(echoed)
+        assert main([command, "--config", str(cfg)] + positionals) == 0
+        assert _echo_line(capsys) == echoed
+
+
+DEFAULT_ECHO = {
+    "filter": {"mode": "bilateral", "radius": 2, "sigma-d": 2.0, "sigma-r": 0.1,
+               "sigma-t": 1.0, "passes": 1, "sigma-g": 1.0, "energy-radius": 2,
+               "smooth-threshold": None, "complex-ratio": 0.8},
+    "texture": {"sigma-g": 1.0, "energy-radius": 2, "smooth-threshold": None,
+                "complex-ratio": 0.8},
+    "add-noise": {"noise": "salt-pepper", "density": 0.05, "std": 0.05, "seed": 0},
+    "metrics": {"report": "text"},
+    "bench": {"seed": 20260809},
+}
+
+
+@pytest.mark.parametrize("command", list(DEFAULT_ECHO))
+def test_default_config_echo(tmp_path, gray_file, capsys, command):
+    assert main([command] + _positionals(command, tmp_path, gray_file)) == 0
+    echoed = json.loads(_echo_line(capsys))
+    assert echoed == DEFAULT_ECHO[command]
+    assert {key: type(v) for key, v in echoed.items()} == \
+        {key: type(v) for key, v in DEFAULT_ECHO[command].items()}
+
+
+LIBRARY_FIELDS = ("window_radius", "energy_window_radius", "energy_radius", "sigma_d",
+                  "sigma_r", "sigma_t", "sigma_g", "smooth_threshold", "complex_ratio",
+                  "kind", "base_seed")
+
+# Every numeric option of every command, each with a value outside its domain.
+OUT_OF_RANGE = [
+    ("filter", "radius", 0), ("filter", "sigma-d", -1.0), ("filter", "sigma-r", -1.0),
+    ("filter", "sigma-t", 0.0), ("filter", "passes", 0), ("filter", "sigma-g", 0.0),
+    ("filter", "energy-radius", 0), ("filter", "smooth-threshold", -1.0),
+    ("filter", "smooth-threshold", math.nan), ("filter", "complex-ratio", 2.0),
+    ("texture", "sigma-g", 0.0), ("texture", "energy-radius", 0),
+    ("texture", "smooth-threshold", -1.0), ("texture", "smooth-threshold", math.nan),
+    ("texture", "complex-ratio", 2.0),
+    ("add-noise", "density", 2.0), ("add-noise", "std", -1.0),
+    ("add-noise", "std", math.nan), ("add-noise", "seed", 1.5),
+    ("bench", "seed", 1.5),
+]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, flag, value", OUT_OF_RANGE)
+def test_out_of_range_option_names_flag(tmp_path, gray_file, capsys, command, flag,
+                                        value, via):
+    if via == "flag":
+        options = [f"--{flag}={value}"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: value}))
+        options = ["--config", str(cfg)]
+    extra = ["--mode", "multilateral"] if command == "filter" else []
+    code = main([command] + extra + options + _positionals(command, tmp_path, gray_file))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.search(rf"(?<![\w-])(--)?{flag}(?![\w-])", err), err
+    assert not re.search(rf"\b({'|'.join(LIBRARY_FIELDS)})\b", err), err
+    assert "config: " not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["filter", "--radius=100000"], "radius"),
+    (["filter", "--mode=multilateral", "--energy-radius=100000"], "energy-radius"),
+    (["texture", "--energy-radius=100000"], "energy-radius"),
+    (["texture", "--sigma-g=1e5"], "sigma-g"),
+    (["texture", "--sigma-g=1e150"], "sigma-g"),
+])
+def test_radius_above_image_bound_is_usage_error(tmp_path, capsys, argv, flag):
+    src = write_pnm(tmp_path / "a.pgm",
+                    ImageBuffer(np.random.default_rng(1).random((8, 8))))
+    code = main(argv + [src, str(tmp_path / "b.pgm")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"edgekeep: error: {flag} ") and "64" in err
+    assert "Traceback" not in err
+
+
+def test_radius_bound_is_largest_of_image_side_and_floor(tmp_path):
+    small = write_pnm(tmp_path / "a.pgm", ImageBuffer(np.zeros((8, 8))))
+    wide = write_pnm(tmp_path / "w.pgm", ImageBuffer(np.zeros((2, 70))))
+    out = str(tmp_path / "b.pgm")
+    assert main(["texture", "--energy-radius=64", small, out]) == 0
+    assert main(["texture", "--energy-radius=65", small, out]) == 2
+    assert main(["texture", "--energy-radius=70", wide, out]) == 0
+    assert main(["texture", "--energy-radius=71", wide, out]) == 2
+    # bilateral never classifies texture, so only its own radius is bounded
+    assert main(["filter", "--energy-radius=100000", "--sigma-g=1e5", small, out]) == 0
+
+
+def test_readme_flags_match_parser(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("\nFlags:"):].split("\n\n")[0]
+    documented = set(re.findall(r"`(--[a-z-]+)`", paragraph))
+    in_parser = set()
+    for command in DEFAULT_ECHO:
+        assert main([command, "--help"]) == 0
+        in_parser |= set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert documented == in_parser - {"--help"}
 
 
 def test_texture_constant_input_all_smooth_level(tmp_path):

@@ -20,6 +20,8 @@ def test_spec_validation():
         NoiseSpec(kind="salt-pepper", density=1.5)
     with pytest.raises(ValueError, match="std"):
         NoiseSpec(kind="gaussian", std=-0.1)
+    with pytest.raises(ValueError, match="std"):
+        NoiseSpec(kind="gaussian", std=float("nan"))
 
 
 def test_zero_density_is_exact_identity():

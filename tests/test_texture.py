@@ -280,6 +280,8 @@ def test_texture_params_validation():
         TextureParams(energy_window_radius=0)
     with pytest.raises(ValueError):
         TextureParams(smooth_threshold=-1.0)
+    with pytest.raises(ValueError, match="smooth_threshold"):
+        TextureParams(smooth_threshold=math.nan)
     with pytest.raises(ValueError):
         TextureParams(complex_ratio=0.0)
     with pytest.raises(ValueError):
