@@ -15,7 +15,6 @@ byte-identical reports.
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .filters import FilterMode, FilterParams, filter_image
@@ -123,11 +122,14 @@ def _sigma_t_cell(noisy: ImageBuffer, sigma_t: float) -> list[BenchRow]:
 
 def run_bench(images: list[tuple[str, ImageBuffer]] | None = None,
               base_seed: int = DEFAULT_BASE_SEED, threads: int = 1) -> BenchReport:
-    """Evaluate every bench cell, optionally spreading cells over threads.
+    """Evaluate every bench cell, one after another.
 
     The comparison sweep runs on the given images (synthetic defaults when
     None); the density and sigma_t sweeps always use the 128x128 two-texture
-    image their trends are defined on.
+    image their trends are defined on. `threads` is accepted and unused: on
+    these small images a pool of cell threads ran slower than one thread,
+    and an image large enough to gain from more cores gets them inside each
+    filter pass.
     """
     if images is None:
         images = default_images()
@@ -135,28 +137,12 @@ def run_bench(images: list[tuple[str, ImageBuffer]] | None = None,
     sigma_t_noisy = add_noise(sweep_img, NoiseSpec(
         kind="salt-pepper", density=0.05, seed=cell_seed(base_seed, "sigma-t")))
 
-    tasks = []
-    for name, img in images:
-        for kind in ("salt-pepper", "gaussian"):
-            tasks.append(("comparison", lambda n=name, i=img, k=kind:
-                          _comparison_cell(n, i, k, base_seed)))
-    for density in DENSITY_SWEEP:
-        tasks.append(("density", lambda d=density: _density_cell(sweep_img, d, base_seed)))
-    for sigma_t in SIGMA_T_SWEEP:
-        tasks.append(("sigma_t", lambda s=sigma_t: _sigma_t_cell(sigma_t_noisy, s)))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda task: task[1](), tasks))
-    else:
-        results = [task[1]() for task in tasks]
-
-    sections = {"comparison": [], "density": [], "sigma_t": []}
-    for (section, _), rows in zip(tasks, results):
-        sections[section].extend(rows)
-    return BenchReport(comparison=tuple(sections["comparison"]),
-                       density_sweep=tuple(sections["density"]),
-                       sigma_t_sweep=tuple(sections["sigma_t"]))
+    comparison = [row for name, img in images for kind in ("salt-pepper", "gaussian")
+                  for row in _comparison_cell(name, img, kind, base_seed)]
+    density = [row for d in DENSITY_SWEEP for row in _density_cell(sweep_img, d, base_seed)]
+    sigma_t = [row for s in SIGMA_T_SWEEP for row in _sigma_t_cell(sigma_t_noisy, s)]
+    return BenchReport(comparison=tuple(comparison), density_sweep=tuple(density),
+                       sigma_t_sweep=tuple(sigma_t))
 
 
 def _fmt(value: float | None) -> str:

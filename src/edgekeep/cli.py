@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import re
 import sys
 import time
@@ -43,6 +42,10 @@ REPORT_FORMATS = ("text", "csv", "markdown")
 #: size it only repeats edge samples, while the padded fields grow with its
 #: square, so an unbounded radius is an unbounded allocation.
 RADIUS_FLOOR = 64
+
+#: The most filtering passes the CLI runs: each pass costs a full filter run,
+#: and an unbounded count is an unbounded run time.
+PASSES_LIMIT = 100
 
 
 class Option(NamedTuple):
@@ -167,6 +170,8 @@ def cmd_filter(args, values: dict) -> int:
     if values["mode"] not in modes:
         raise ValueError(f"mode must be one of {', '.join(modes)}; got {values['mode']!r}")
     mode = FilterMode(values["mode"])
+    if values["passes"] > PASSES_LIMIT:
+        raise ValueError(f"passes must be <= {PASSES_LIMIT}, got {values['passes']:.6g}")
     params = _construct(FilterParams, values)
     texture_params = _construct(TextureParams, values)
     _construct(check_sigma_g, values)
@@ -235,17 +240,6 @@ def cmd_metrics(args, values: dict) -> int:
     return EXIT_OK
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("EDGEKEEP_THREADS") or "1"
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"EDGEKEEP_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"EDGEKEEP_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def cmd_bench(args, values: dict) -> int:
     images = None
     if args.images:
@@ -253,10 +247,9 @@ def cmd_bench(args, values: dict) -> int:
         if missing:
             raise FileNotFoundError(f"missing test image(s): {', '.join(missing)}")
         images = [(Path(p).stem, _read_image(p)) for p in args.images]
-    threads = _thread_cap()
     _echo_config(values)
 
-    report = run_bench(images, values["seed"], threads=threads)
+    report = run_bench(images, values["seed"])
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "bench.csv"

@@ -1,17 +1,24 @@
 """Windowed filter engines: bilateral, texture-augmented multilateral, box average.
 
-The optimized engine walks window offsets with whole-image array slices; the
-oracle variant is a literal per-pixel transcription kept for equivalence
-testing. Every weight factor is symmetric in the pixel pair, so the engine
-computes one weight per unordered pair, w(x, x + d) == w(x + d, x), and
-applies it to all channels and to both ends of the pair. Each window is
-summed in mirror quads, {+d, -d} pairs whose total no horizontal or vertical
-flip changes, so flipped inputs produce exactly flipped outputs.
+The optimized engine cuts each pass into row bands of about _BAND_SAMPLES
+padded samples and spreads the bands over the available cores; within a band
+it walks window offsets with whole-band array slices. Every pixel sees the
+same operations in the same order whatever the band size or core count, so
+the output depends on neither. The oracle variant is a literal per-pixel
+transcription kept for equivalence testing. Every weight factor is symmetric
+in the pixel pair, so the engine computes one weight per unordered pair,
+w(x, x + d) == w(x + d, x), and applies it to all channels and to both ends
+of the pair. Each window is summed in mirror quads, {+d, -d} pairs whose
+total no horizontal or vertical flip changes, so flipped inputs produce
+exactly flipped outputs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,6 +32,46 @@ from .texture import (
     compute_texture_map,
     texture_distance,
 )
+
+
+#: Channel-samples of padded input, c * rows * (w + 2m), per row band of a
+#: filter pass (512 KiB of float64): the band's per-offset temporaries then
+#: stay near a core's cache instead of spanning the whole image.
+_BAND_SAMPLES = 65536
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+#: Threads a multi-band pass runs on, the calling thread included.
+_WORKERS = _available_cpus()
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _band_pool() -> ThreadPoolExecutor:
+    """The module's band threads, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
+                                       thread_name_prefix="edgekeep-band")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child has none of the parent's threads; it makes its own pool.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 class FilterMode(Enum):
@@ -118,27 +165,48 @@ def _resolve_texture(current: ImageBuffer, pass_index: int, supplied: TextureMap
     return tex
 
 
-def _filter_pass(work: np.ndarray, mode: FilterMode, params: FilterParams,
-                 policy: BoundaryPolicy, labels: np.ndarray | None) -> np.ndarray:
-    h, w, _ = work.shape
+class _Scratch:
+    """One worker's pass buffers, sized for the tallest band and reused by
+    every band and offset it runs; `take` views a contiguous prefix."""
+
+    def __init__(self, c: int, rows: int, w: int, m: int):
+        pairs = (rows + m) * (w + m)  # the most pair centres of one offset
+        self.diff, self.weight = np.empty(c * pairs), np.empty(pairs)
+        self.square, self.differs = np.empty(pairs), np.empty(pairs, dtype=bool)
+        self.num, self.num_b = np.empty(c * rows * w), np.empty(c * rows * w)
+        self.numerator = np.empty(c * rows * w)
+        self.den, self.den_b = np.empty(rows * w), np.empty(rows * w)
+        self.denominator = np.empty(rows * w)
+
+    @staticmethod
+    def take(buffer: np.ndarray, *shape: int) -> np.ndarray:
+        return buffer[:math.prod(shape)].reshape(shape)
+
+
+def _filter_band(band: np.ndarray, band_labels: np.ndarray | None, params: FilterParams,
+                 weighted: bool, scratch: _Scratch, out: np.ndarray) -> None:
+    """Filter one row band into `out`, its (c, rows, w) slice of the output.
+
+    `band` holds the band's rows of the padded channel planes plus m rows of
+    padding above and below; `band_labels` the same rows of padded labels.
+    """
     m = params.window_radius
-    # Channel planes first, so per-channel arithmetic runs over contiguous
-    # rows and the shared weight broadcasts over the leading axis.
-    padded = np.ascontiguousarray(np.moveaxis(pad_field(work, m, policy), -1, 0))
-    weighted = mode is not FilterMode.AVERAGE
+    c, h, w = band.shape[0], band.shape[1] - 2 * m, band.shape[2] - 2 * m
+    take = _Scratch.take
     neg_inv_2sr2 = -0.5 / (params.sigma_r ** 2)
     inv_2sd2 = 0.5 / (params.sigma_d ** 2)
-    if labels is not None:
-        padded_labels = pad_field(labels, m, policy)
+    if band_labels is not None:
         # Indicator distance is 0/1, so the factor takes only two values.
         cross_factor = math.exp(-0.5 / (params.sigma_t ** 2))
 
-    def pair_sums(di: int, dj: int):
+    def pair_sums(di: int, dj: int, num: np.ndarray, den: np.ndarray):
         """Numerator and denominator sums of offsets +d and -d, d = (di, dj) forward.
 
-        The pair (q, q + d) is weighted once for every centre q that a pixel
-        x reads: q = x for offset +d and q = x - d for offset -d. Both read
-        the same weight, and the weighted diff of -d is exactly the negation.
+        The numerator goes to `num`; the denominator, returned, is `den` or
+        the scalar 2.0 of two unit weights. The pair (q, q + d) is weighted
+        once for every centre q that a pixel x reads: q = x for offset +d and
+        q = x - d for offset -d. Both read the same weight, and the weighted
+        diff of -d is exactly the negation.
         """
         c0 = min(0, -di)
         rows, cols = slice(m - dj, m + h), slice(m + c0, m + max(w, w - di))
@@ -146,20 +214,26 @@ def _filter_pass(work: np.ndarray, mode: FilterMode, params: FilterParams,
         cols_d = slice(cols.start + di, cols.stop + di)
         fwd = (..., slice(dj, dj + h), slice(-c0, -c0 + w))
         bwd = (..., slice(0, h), slice(-c0 - di, -c0 - di + w))
-        diff = padded[:, rows_d, cols_d] - padded[:, rows, cols]
+        centres = (h + dj, w + abs(di))
+        diff = take(scratch.diff, c, *centres)
+        np.subtract(band[:, rows_d, cols_d], band[:, rows, cols], out=diff)
         if not weighted:
-            return diff[fwd] - diff[bwd], 2.0  # two unit weights
-        weight = np.square(diff[0])
+            np.subtract(diff[fwd], diff[bwd], out=num)
+            return 2.0
+        weight = take(scratch.weight, *centres)
+        np.square(diff[0], out=weight)
         for plane in diff[1:]:
-            weight += np.square(plane)
+            weight += np.square(plane, out=take(scratch.square, *centres))
         np.multiply(weight, neg_inv_2sr2, out=weight)
         weight -= (di * di + dj * dj) * inv_2sd2
         np.exp(weight, out=weight)
-        if labels is not None:
-            differs = padded_labels[rows_d, cols_d] != padded_labels[rows, cols]
+        if band_labels is not None:
+            differs = take(scratch.differs, *centres)
+            np.not_equal(band_labels[rows_d, cols_d], band_labels[rows, cols], out=differs)
             np.multiply(weight, cross_factor, out=weight, where=differs)
         diff *= weight
-        return diff[fwd] - diff[bwd], weight[fwd] + weight[bwd]
+        np.subtract(diff[fwd], diff[bwd], out=num)
+        return np.add(weight[fwd], weight[bwd], out=den)
 
     # Contributions accumulate relative to the center sample, so constant
     # regions pass through bit-exact (every diff is exactly zero); the center
@@ -168,23 +242,72 @@ def _filter_pass(work: np.ndarray, mode: FilterMode, params: FilterParams,
     # +/-(di, dj) with its mirror +/-(-di, dj). A horizontal or vertical flip
     # only swaps the operands of additions within a set, and IEEE addition
     # commutes, so flipped inputs give exactly flipped outputs.
-    numerator = np.zeros((padded.shape[0], h, w))
-    denominator = np.ones((h, w)) if weighted else 1.0
+    num, num_b = take(scratch.num, c, h, w), take(scratch.num_b, c, h, w)
+    den, den_b = take(scratch.den, h, w), take(scratch.den_b, h, w)
+    numerator = take(scratch.numerator, c, h, w)
+    numerator.fill(0.0)
+    denominator = take(scratch.denominator, h, w) if weighted else 1.0
+    if weighted:
+        denominator.fill(1.0)
     for k in range(1, m + 1):
         for di, dj in ((k, 0), (0, k)):
-            num, den = pair_sums(di, dj)
+            d = pair_sums(di, dj, num, den)
             numerator += num
-            denominator += den
+            denominator += d
     for dj in range(1, m + 1):
         for di in range(1, m + 1):
-            num, den = pair_sums(di, dj)
-            num_b, den_b = pair_sums(-di, dj)
+            d = pair_sums(di, dj, num, den)
+            d_b = pair_sums(-di, dj, num_b, den_b)
             num += num_b
-            den += den_b
+            d += d_b
             numerator += num
-            denominator += den
-    center = padded[:, m:m + h, m:m + w]
-    return np.moveaxis(np.clip(center + numerator / denominator, 0.0, 1.0), 0, -1)
+            denominator += d
+    np.divide(numerator, denominator, out=numerator)
+    np.add(band[:, m:m + h, m:m + w], numerator, out=numerator)
+    np.clip(numerator, 0.0, 1.0, out=out)
+
+
+def _filter_pass(work: np.ndarray, mode: FilterMode, params: FilterParams,
+                 policy: BoundaryPolicy, labels: np.ndarray | None) -> np.ndarray:
+    """One pass over the image, as row bands spread over the worker threads.
+
+    Every band runs the same operations in the same order on each pixel, so
+    the output does not depend on the band size or the number of workers.
+    """
+    h, w, c = work.shape
+    m = params.window_radius
+    # Channel planes first, so per-channel arithmetic runs over contiguous
+    # rows and the shared weight broadcasts over the leading axis.
+    padded = np.ascontiguousarray(np.moveaxis(pad_field(work, m, policy), -1, 0))
+    padded_labels = None if labels is None else pad_field(labels, m, policy)
+    weighted = mode is not FilterMode.AVERAGE
+    count = min(h, -(-c * h * (w + 2 * m) // _BAND_SAMPLES))
+    bounds = [h * i // count for i in range(count + 1)]
+    bands = iter(zip(bounds, bounds[1:]))
+    workers = min(_WORKERS, count)
+    scratches = [_Scratch(c, -(-h // count), w, m) for _ in range(workers)]
+    out = np.empty((c, h, w))
+    lock = threading.Lock()
+
+    def work_through_bands(scratch: _Scratch) -> None:
+        while True:
+            with lock:
+                band = next(bands, None)
+            if band is None:
+                return
+            y0, y1 = band
+            _filter_band(padded[:, y0:y1 + 2 * m],
+                         None if padded_labels is None else padded_labels[y0:y1 + 2 * m],
+                         params, weighted, scratch, out[:, y0:y1])
+
+    futures = [_band_pool().submit(work_through_bands, s) for s in scratches[1:]]
+    try:
+        work_through_bands(scratches[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+    return np.moveaxis(out, 0, -1)
 
 
 def filter_image(img: ImageBuffer, params: FilterParams | None = None,

@@ -161,10 +161,12 @@ def _read_int(data: bytes, pos: int, what: str):
 
 
 def load_pnm(data: bytes) -> ImageBuffer:
-    """Decode a binary PGM (P5) or PPM (P6) byte string.
+    """Decode the first image of a binary PGM (P5) or PPM (P6) byte string.
 
     Samples are scaled to [0, 1] by the declared maxval. Only maxval 255
     (1 byte/sample) and 65535 (2 bytes/sample, big-endian) are supported.
+    Bytes after the first image's payload are ignored: a Netpbm file may hold
+    several images in a row, and this reads the first.
     """
     magic, magic_at, pos = _read_token(data, 0, "magic number")
     if magic not in (b"P5", b"P6"):
@@ -195,7 +197,11 @@ def load_pnm(data: bytes) -> ImageBuffer:
 
 
 def save_pnm(img: ImageBuffer) -> bytes:
-    """Encode as binary P5 (gray) or P6 (RGB) with maxval 255."""
+    """Encode as binary P5 (gray) or P6 (RGB) with maxval 255.
+
+    Samples are rounded to the nearest of 256 levels, whatever the maxval of
+    the file they were read from: 16-bit input is written back at 8 bits.
+    """
     magic = b"P5" if img.channels == 1 else b"P6"
     header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
     return header + np.round(img.pixels * 255.0).astype(np.uint8).tobytes()

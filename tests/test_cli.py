@@ -180,7 +180,8 @@ LIBRARY_FIELDS = ("window_radius", "energy_window_radius", "energy_radius", "sig
 # Every numeric option of every command, each with a value outside its domain.
 OUT_OF_RANGE = [
     ("filter", "radius", 0), ("filter", "sigma-d", -1.0), ("filter", "sigma-r", -1.0),
-    ("filter", "sigma-t", 0.0), ("filter", "passes", 0), ("filter", "sigma-g", 0.0),
+    ("filter", "sigma-t", 0.0), ("filter", "passes", 0), ("filter", "passes", 101),
+    ("filter", "passes", 1000000000), ("filter", "passes", 1e300), ("filter", "sigma-g", 0.0),
     ("filter", "energy-radius", 0), ("filter", "smooth-threshold", -1.0),
     ("filter", "smooth-threshold", math.nan), ("filter", "complex-ratio", 2.0),
     ("texture", "sigma-g", 0.0), ("texture", "energy-radius", 0),
@@ -238,6 +239,13 @@ def test_radius_bound_is_largest_of_image_side_and_floor(tmp_path):
     assert main(["texture", "--energy-radius=71", wide, out]) == 2
     # bilateral never classifies texture, so only its own radius is bounded
     assert main(["filter", "--energy-radius=100000", "--sigma-g=1e5", small, out]) == 0
+
+
+def test_passes_bound_is_inclusive(tmp_path):
+    src = write_pnm(tmp_path / "a.pgm", ImageBuffer(np.random.default_rng(1).random((8, 8))))
+    out = str(tmp_path / "b.pgm")
+    assert main(["filter", "--passes=100", src, out]) == 0
+    assert main(["filter", "--passes=101", src, out]) == 2
 
 
 def test_readme_flags_match_parser(capsys):

@@ -1,10 +1,17 @@
 """Filter engine tests: weight closed forms, limits, and oracle equivalence."""
 
 import math
+import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edgekeep import filters
 from edgekeep.filters import (
     FilterMode,
     FilterParams,
@@ -24,6 +31,14 @@ MODES = (FilterMode.AVERAGE, FilterMode.BILATERAL, FilterMode.MULTILATERAL)
 def _flat_tex(h, w, label=0):
     return TextureMap(labels=np.full((h, w), label, dtype=np.uint8),
                       energy=EnergyField(np.zeros((4, h, w))))
+
+
+def _use_bands(monkeypatch, img, radius, rows, workers):
+    """Cut every pass over `img` into bands of `rows` output rows (one band
+    when rows is None) and run them on `workers` threads."""
+    budget = 1 << 62 if rows is None else rows * img.channels * (img.width + 2 * radius)
+    monkeypatch.setattr(filters, "_BAND_SAMPLES", budget)
+    monkeypatch.setattr(filters, "_WORKERS", workers)
 
 
 # --- weight functions ---
@@ -175,12 +190,16 @@ def test_output_stays_in_window_hull():
                 assert out.pixels[y, x] <= window.max() + 1e-12
 
 
-def test_horizontal_mirror_equivariance_is_exact():
-    # Horizontal and vertical flips, gray and RGB, every mode: exact.
+@pytest.mark.parametrize("band_rows, workers", [(None, 1), (2, 2)])
+def test_horizontal_mirror_equivariance_is_exact(monkeypatch, band_rows, workers):
+    # Horizontal and vertical flips, gray and RGB, every mode: exact. With
+    # bands of 2 rows a vertical flip also moves the band boundaries.
     rng = np.random.default_rng(7)
     for trial in range(5):
         for shape in ((11, 10), (9, 12, 3)):
             img = ImageBuffer(rng.random(shape))
+            # About 2 rows per band at both radii.
+            _use_bands(monkeypatch, img, 3, band_rows, workers)
             for policy in (REPLICATE, MIRROR):
                 tex = compute_texture_map(img, policy=policy)
                 for axis in (1, 0):
@@ -233,6 +252,107 @@ def test_texture_dimension_mismatch_raises():
     with pytest.raises(ValueError, match="texture map"):
         filter_image(img, FilterParams(), FilterMode.MULTILATERAL,
                      texture=_flat_tex(4, 4))
+
+
+# --- row bands ---
+
+def _one_band(img, params, mode, policy):
+    with pytest.MonkeyPatch.context() as mp:
+        _use_bands(mp, img, params.window_radius, None, 1)
+        return filter_image(img, params, mode, policy).pixels
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_banded_output_is_bit_identical_to_one_band(data):
+    h, w = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    shape = (h, w) if data.draw(st.booleans()) else (h, w, 3)
+    img = ImageBuffer(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(shape))
+    params = FilterParams(window_radius=data.draw(st.integers(1, 6)))
+    mode = data.draw(st.sampled_from(MODES))
+    policy = data.draw(st.sampled_from((REPLICATE, MIRROR)))
+    rows = data.draw(st.integers(1, h))  # the radius often exceeds the band height
+    workers = data.draw(st.sampled_from((1, 2)))
+    expected = _one_band(img, params, mode, policy)
+    with pytest.MonkeyPatch.context() as mp:
+        _use_bands(mp, img, params.window_radius, rows, workers)
+        assert np.array_equal(filter_image(img, params, mode, policy).pixels, expected)
+
+
+def test_multi_band_matches_oracle(monkeypatch):
+    img = ImageBuffer(np.random.default_rng(16).random((23, 61)))
+    params = FilterParams(window_radius=4)
+    _use_bands(monkeypatch, img, 4, 3, 2)  # 8 bands of 2-3 rows
+    # The oracle is slow; these two modes cover both denominator paths.
+    for mode in (FilterMode.AVERAGE, FilterMode.MULTILATERAL):
+        fast = filter_image(img, params, mode)
+        slow = filter_oracle(img, params, mode)
+        assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12, mode
+
+
+def test_image_within_band_budget_never_uses_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the band pool was used")
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
+    monkeypatch.setattr(ThreadPoolExecutor, "map", refuse)
+    monkeypatch.setattr(filters, "_WORKERS", 2)
+    rng = np.random.default_rng(17)
+    for shape in ((64, 64), (40, 50, 3)):
+        img = ImageBuffer(rng.random(shape))
+        for mode in MODES:
+            filter_image(img, FilterParams(), mode)
+    # The same image cut into bands does reach the pool.
+    _use_bands(monkeypatch, img, 2, 8, 2)
+    with pytest.raises(AssertionError, match="band pool"):
+        filter_image(img, FilterParams(), FilterMode.BILATERAL)
+
+
+def test_concurrent_callers_get_the_sequential_output(monkeypatch):
+    img = ImageBuffer(np.random.default_rng(18).random((45, 37, 3)))
+    params = FilterParams(window_radius=3, passes=2)
+    expected = {mode: _one_band(img, params, mode, REPLICATE) for mode in MODES}
+    _use_bands(monkeypatch, img, 3, 4, 2)
+    start = threading.Barrier(2)
+    results = {}
+
+    def call(name, mode):
+        start.wait()
+        results[name] = [filter_image(img, params, mode).pixels for _ in range(3)]
+
+    for mode in MODES:
+        callers = [threading.Thread(target=call, args=(name, mode)) for name in "ab"]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join()
+        for name in "ab":
+            for pixels in results.pop(name):
+                assert np.array_equal(pixels, expected[mode]), (name, mode)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_banded_passes(monkeypatch):
+    # The child inherits the parent's pool object but none of its threads.
+    img = ImageBuffer(np.random.default_rng(19).random((30, 20)))
+    expected = _one_band(img, FilterParams(), FilterMode.BILATERAL, REPLICATE)
+    _use_bands(monkeypatch, img, 2, 4, 2)
+    filter_image(img)  # starts the pool in this process
+    pid = os.fork()
+    if pid == 0:
+        same = False
+        try:
+            same = np.array_equal(filter_image(img).pixels, expected)
+        finally:
+            os._exit(0 if same else 1)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish its banded pass")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 # --- oracle equivalence ---

@@ -67,6 +67,13 @@ def test_load_sixteen_bit_big_endian():
     assert img.pixels[0, 0] == pytest.approx(32768 / 65535)
 
 
+def test_load_ignores_bytes_after_first_payload():
+    first = b"P5\n2 1\n255\n" + bytes([5, 7])
+    img = load_pnm(first)
+    for trailer in (b"\n", b"junk", first, b"P6\n1 1\n255\n" + bytes(3)):
+        assert np.array_equal(load_pnm(first + trailer).pixels, img.pixels)
+
+
 def test_load_header_comments():
     data = b"P5 # magic\n# a comment line\n2 1 # dims\n255\n" + bytes([5, 7])
     img = load_pnm(data)
@@ -102,6 +109,14 @@ def test_save_quantization_examples():
     assert save_pnm(ImageBuffer([[0.5]])).endswith(bytes([128]))
     assert save_pnm(ImageBuffer([[1.0]])).endswith(bytes([255]))
     assert save_pnm(ImageBuffer([[0.0]])).endswith(bytes([0]))
+
+
+def test_sixteen_bit_input_saves_at_eight_bits():
+    samples = [0, 257, 32768, 65535]
+    img = load_pnm(b"P5\n4 1\n65535\n" + b"".join(v.to_bytes(2, "big") for v in samples))
+    expected = bytes(int(np.round(v / 65535 * 255.0)) for v in samples)
+    assert expected == bytes([0, 1, 128, 255])
+    assert save_pnm(img) == b"P5\n4 1\n255\n" + expected
 
 
 def test_save_header_shape():
