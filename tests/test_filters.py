@@ -190,8 +190,7 @@ def test_output_stays_in_window_hull():
                 assert out.pixels[y, x] <= window.max() + 1e-12
 
 
-@pytest.mark.parametrize("band_rows, workers", [(None, 1), (2, 2)])
-def test_horizontal_mirror_equivariance_is_exact(monkeypatch, band_rows, workers):
+def _check_mirror_equivariance(monkeypatch, band_rows, workers):
     # Horizontal and vertical flips, gray and RGB, every mode: exact. With
     # bands of 2 rows a vertical flip also moves the band boundaries.
     rng = np.random.default_rng(7)
@@ -213,6 +212,14 @@ def test_horizontal_mirror_equivariance_is_exact(monkeypatch, band_rows, workers
                             b = filter_image(flipped, params, mode, policy, tex_flipped)
                             assert np.array_equal(np.flip(a.pixels, axis), b.pixels), \
                                 (shape, axis, policy, params.window_radius, mode)
+
+
+def test_horizontal_mirror_equivariance_is_exact(monkeypatch):
+    _check_mirror_equivariance(monkeypatch, None, 1)
+
+
+def test_mirror_equivariance_is_exact_across_bands(monkeypatch):
+    _check_mirror_equivariance(monkeypatch, 2, 2)
 
 
 def test_identical_channel_rgb_filters_like_its_channels():
