@@ -36,8 +36,6 @@ from .noise import NoiseSpec, add_noise
 from .synth import grating, step_edge, two_texture
 from .texture import (
     ORIENTATIONS_DEG,
-    EnergyField,
-    SubBandSet,
     TextureClass,
     TextureMap,
     TextureParams,
@@ -45,6 +43,7 @@ from .texture import (
     compute_texture_map,
     decompose,
     local_energy,
+    orientation_energies,
     texture_map_image,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "BenchRow",
     "BoundaryPolicy",
     "Direction",
-    "EnergyField",
     "FilterMode",
     "FilterParams",
     "ImageBuffer",
@@ -64,7 +62,6 @@ __all__ = [
     "NoiseSpec",
     "ORIENTATIONS_DEG",
     "PnmError",
-    "SubBandSet",
     "TextureClass",
     "TextureMap",
     "TextureParams",
@@ -84,6 +81,7 @@ __all__ = [
     "grating",
     "load_pnm",
     "local_energy",
+    "orientation_energies",
     "run_bench",
     "save_pnm",
     "snr",

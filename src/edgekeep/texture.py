@@ -1,10 +1,14 @@
-"""Steerable decomposition, windowed sub-band energy, and texture labeling.
+"""Steerable orientation energies and texture labeling.
 
-A one-level steerable pair (Gaussian x/y derivatives) is steered to four
-fixed orientations; the windowed mean of squared band coefficients gives a
-per-pixel energy vector, which a three-rule cascade turns into one of six
-texture classes. The resulting label map feeds the multilateral filter's
-texture-similarity weight.
+A one-level steerable pair (Gaussian x/y derivatives bx, by) is steered to
+four fixed orientations. A band steered to angle theta is c*bx + s*by with
+(c, s) = (cos theta, sin theta), so its windowed mean energy is
+c^2 A + 2cs C + s^2 B, a quadratic form in the windowed gradient structure
+tensor A = W[bx^2], B = W[by^2], C = W[bx*by] (Freeman & Adelson 1991). The
+four energies are E0 = A, E90 = B and E+/-45 = (A + B)/2 +/- C: three window
+means instead of four, and no steered bands. A three-rule cascade turns the
+energies into one of six texture classes. The resulting label map feeds the
+multilateral filter's texture-similarity weight.
 """
 
 from __future__ import annotations
@@ -65,39 +69,8 @@ def check_sigma_g(sigma_g: float) -> None:
 
 
 def steerable_radius(sigma_g: float) -> int:
-    """Kernel radius used by decompose: 3 * ceil(sigma_g)."""
+    """Radius of the derivative taps: 3 * ceil(sigma_g)."""
     return 3 * int(math.ceil(sigma_g))
-
-
-@dataclass(frozen=True, eq=False)
-class SubBandSet:
-    """Steered responses stacked (4, h, w) in ORIENTATIONS_DEG order."""
-
-    bands: np.ndarray
-
-    def __post_init__(self):
-        bands = np.asarray(self.bands, dtype=np.float64)
-        if bands.ndim != 3 or bands.shape[0] != len(ORIENTATIONS_DEG):
-            raise ValueError(f"expected ({len(ORIENTATIONS_DEG)}, h, w) bands, got {bands.shape}")
-        object.__setattr__(self, "bands", bands)
-
-    def band(self, index: int) -> np.ndarray:
-        return self.bands[index]
-
-
-@dataclass(frozen=True, eq=False)
-class EnergyField:
-    """Per-pixel orientation energies stacked (4, h, w); all components >= 0."""
-
-    energies: np.ndarray
-
-    def __post_init__(self):
-        energies = np.asarray(self.energies, dtype=np.float64)
-        if energies.ndim != 3 or energies.shape[0] != len(ORIENTATIONS_DEG):
-            raise ValueError(f"expected ({len(ORIENTATIONS_DEG)}, h, w) energies, got {energies.shape}")
-        if not np.all(energies >= 0.0):
-            raise ValueError("energies must be nonnegative")
-        object.__setattr__(self, "energies", energies)
 
 
 @dataclass(frozen=True)
@@ -126,17 +99,14 @@ class TextureParams:
 
 @dataclass(frozen=True, eq=False)
 class TextureMap:
-    """Per-pixel class labels plus the energy field they were derived from."""
+    """Per-pixel class labels, read-only uint8."""
 
     labels: np.ndarray
-    energy: EnergyField
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
         if labels.ndim != 2:
             raise ValueError(f"labels must be 2-D, got shape {labels.shape}")
-        if labels.shape != self.energy.energies.shape[1:]:
-            raise ValueError("labels and energy dimensions differ")
         labels = labels.astype(np.uint8)
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -146,47 +116,70 @@ class TextureMap:
         return self.labels.shape
 
 
-def decompose(img, sigma_g: float = DEFAULT_SIGMA_G,
-              policy: BoundaryPolicy = BoundaryPolicy.REPLICATE,
-              radius: int | None = None) -> SubBandSet:
-    """Steer the Gaussian-derivative pair to the four fixed orientations.
-
-    The two base responses are separable convolutions, d(u) g(v) along x
-    and g(u) d(v) along y, each a row pass and a column pass over
-    mirror-paired taps; each band is then cos(theta) * base_x +
-    sin(theta) * base_y. A horizontal or vertical flip of the input gives
-    exactly flipped band energies, with the 45 and -45 bands swapped.
-    """
+def _gradient_pair(img, sigma_g: float, policy: BoundaryPolicy,
+                   radius: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The base responses bx = d(u) g(v) and by = g(u) d(v): separable
+    convolutions, each a row pass and a column pass over mirror-paired taps."""
     check_sigma_g(sigma_g)
     if isinstance(img, ImageBuffer):
         if img.channels != 1:
-            raise ValueError("decompose expects a gray image")
-        field = img.pixels
-    else:
-        field = np.asarray(img, dtype=np.float64)
+            raise ValueError("texture analysis expects a gray image")
+        img = img.pixels
     if radius is None:
         radius = steerable_radius(sigma_g)
     g, d = gaussian_derivative_taps(sigma_g, radius)
-    base_x = convolve(field, g, d, policy)
-    base_y = convolve(field, d, g, policy)
-    bands = np.empty((len(_STEERING),) + base_x.shape)
-    scratch = np.empty_like(base_y)
-    for band, (c, s) in zip(bands, _STEERING):
-        np.multiply(base_x, c, out=band)
-        band += np.multiply(base_y, s, out=scratch)
-    return SubBandSet(bands)
+    return convolve(img, g, d, policy), convolve(img, d, g, policy)
 
 
-def local_energy(bands: SubBandSet, window_radius: int = 2,
-                 policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> EnergyField:
-    """Windowed mean of squared band coefficients, per orientation."""
+def decompose(img, sigma_g: float = DEFAULT_SIGMA_G,
+              policy: BoundaryPolicy = BoundaryPolicy.REPLICATE,
+              radius: int | None = None) -> np.ndarray:
+    """The four steered bands cos(theta) * bx + sin(theta) * by, stacked
+    (4, h, w) in ORIENTATIONS_DEG order.
+
+    compute_texture_map never builds these bands (see orientation_energies);
+    they stay for inspection and as a test oracle.
+    """
+    bx, by = _gradient_pair(img, sigma_g, policy, radius)
+    return np.stack([c * bx + s * by for c, s in _STEERING])
+
+
+def local_energy(bands: np.ndarray, window_radius: int = 2,
+                 policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> np.ndarray:
+    """Windowed mean of squared band coefficients, per band of a (k, h, w) stack."""
     if window_radius < 1:
         raise ValueError(f"window_radius must be >= 1, got {window_radius}")
-    return EnergyField(np.stack(
-        [window_mean(band * band, window_radius, policy) for band in bands.bands]))
+    return np.stack([window_mean(band * band, window_radius, policy) for band in bands])
 
 
-def classify(energy: EnergyField, params: TextureParams | None = None) -> TextureMap:
+def orientation_energies(img, sigma_g: float = DEFAULT_SIGMA_G,
+                         policy: BoundaryPolicy = BoundaryPolicy.REPLICATE,
+                         window_radius: int = 2) -> np.ndarray:
+    """Windowed energies of the four steered bands, (4, h, w), all >= 0.
+
+    Equal, up to rounding, to local_energy(decompose(img)), but computed
+    from the structure tensor: E0 = A, E90 = B, E+/-45 = (A + B)/2 +/- C.
+    E+/-45 are clamped at 0, where a cancellation can round them below it.
+    A horizontal or vertical flip negates bx or by exactly, so C changes
+    sign exactly and the flipped energies are exact, with E45 and E-45
+    swapped.
+    """
+    bx, by = _gradient_pair(img, sigma_g, policy)
+    energies = np.empty((len(ORIENTATIONS_DEG),) + bx.shape)
+    product = np.multiply(bx, bx)
+    energies[0] = window_mean(product, window_radius, policy)
+    energies[1] = window_mean(np.multiply(by, by, out=product), window_radius, policy)
+    cross = window_mean(np.multiply(bx, by, out=product), window_radius, policy)
+    del bx, by
+    half_trace = np.add(energies[0], energies[1], out=product)
+    half_trace *= 0.5
+    np.add(half_trace, cross, out=energies[2])
+    np.subtract(half_trace, cross, out=energies[3])
+    np.maximum(energies[2:], 0.0, out=energies[2:])
+    return energies
+
+
+def classify(energies: np.ndarray, params: TextureParams | None = None) -> TextureMap:
     """Label each pixel smooth, complex, or by its dominant orientation.
 
     Rules apply in precedence order: all four energies below the smooth
@@ -197,7 +190,11 @@ def classify(energy: EnergyField, params: TextureParams | None = None) -> Textur
     label only when strictly larger, so the first orientation wins ties.
     """
     params = params or TextureParams()
-    e = energy.energies
+    e = np.asarray(energies, dtype=np.float64)
+    if e.ndim != 3 or e.shape[0] != len(ORIENTATIONS_DEG):
+        raise ValueError(f"expected ({len(ORIENTATIONS_DEG)}, h, w) energies, got {e.shape}")
+    if e.size and not e.min() >= 0.0:
+        raise ValueError("energies must be nonnegative")
     threshold = params.smooth_threshold
     if threshold is None:
         threshold = max(ADAPTIVE_THRESHOLD_FRACTION * float(e.mean()),
@@ -214,22 +211,21 @@ def classify(energy: EnergyField, params: TextureParams | None = None) -> Textur
         np.maximum(largest, band, out=largest)
     labels[second >= params.complex_ratio * largest] = int(TextureClass.COMPLEX)
     labels[largest < threshold] = int(TextureClass.SMOOTH)
-    return TextureMap(labels=labels, energy=energy)
+    return TextureMap(labels)
 
 
 def compute_texture_map(img: ImageBuffer, params: TextureParams | None = None,
                         sigma_g: float = DEFAULT_SIGMA_G,
                         policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> TextureMap:
-    """Decompose, measure windowed energy, and classify in one step.
+    """Orientation energies, then the three-rule classification.
 
     Color images are grayscale-converted first; texture is independent of
     color.
     """
     params = params or TextureParams()
-    gray = to_grayscale(img)
-    bands = decompose(gray, sigma_g, policy)
-    energy = local_energy(bands, params.energy_window_radius, policy)
-    return classify(energy, params)
+    energies = orientation_energies(to_grayscale(img), sigma_g, policy,
+                                    params.energy_window_radius)
+    return classify(energies, params)
 
 
 def texture_distance(a, b) -> float:

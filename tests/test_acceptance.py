@@ -157,8 +157,8 @@ def test_criterion_8_steering_identity():
     for _ in range(10):
         img = ImageBuffer(rng.random((14, 13)))
         bands = decompose(img)
-        expected = (bands.band(0) + bands.band(1)) / math.sqrt(2.0)
-        worst = max(worst, float(np.abs(bands.band(2) - expected).max()))
+        expected = (bands[0] + bands[1]) / math.sqrt(2.0)
+        worst = max(worst, float(np.abs(bands[2] - expected).max()))
     ok = worst <= 1e-12
     _report("8 steering identity", ok, f"max |band45 - (band0+band90)/sqrt2| = {worst:.3g}")
 

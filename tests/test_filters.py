@@ -21,7 +21,7 @@ from edgekeep.filters import (
     weight_multilateral,
 )
 from edgekeep.image import BoundaryPolicy, ImageBuffer
-from edgekeep.texture import EnergyField, TextureMap, compute_texture_map
+from edgekeep.texture import TextureMap, compute_texture_map
 
 REPLICATE = BoundaryPolicy.REPLICATE
 MIRROR = BoundaryPolicy.MIRROR
@@ -29,8 +29,7 @@ MODES = (FilterMode.AVERAGE, FilterMode.BILATERAL, FilterMode.MULTILATERAL)
 
 
 def _flat_tex(h, w, label=0):
-    return TextureMap(labels=np.full((h, w), label, dtype=np.uint8),
-                      energy=EnergyField(np.zeros((4, h, w))))
+    return TextureMap(labels=np.full((h, w), label, dtype=np.uint8))
 
 
 def _use_bands(monkeypatch, img, radius, rows, workers):
@@ -95,7 +94,7 @@ def test_weight_multilateral_cross_class_factor():
     pixels = np.full((2, 2), 0.5)
     img = ImageBuffer(pixels)
     labels = np.array([[0, 1], [0, 0]], dtype=np.uint8)
-    tex = TextureMap(labels=labels, energy=EnergyField(np.zeros((4, 2, 2))))
+    tex = TextureMap(labels=labels)
     params = FilterParams(sigma_d=1e9, sigma_r=1e9, sigma_t=1.0)
     w = weight_multilateral((0, 0), (1, 0), img, tex, params)
     assert w == pytest.approx(math.exp(-0.5), rel=1e-9)
@@ -104,7 +103,7 @@ def test_weight_multilateral_cross_class_factor():
 def test_weight_multilateral_huge_sigma_t_is_bilateral():
     img = ImageBuffer(np.random.default_rng(2).random((4, 4)))
     labels = np.arange(16, dtype=np.uint8).reshape(4, 4) % 6
-    tex = TextureMap(labels=labels, energy=EnergyField(np.zeros((4, 4, 4))))
+    tex = TextureMap(labels=labels)
     params = FilterParams(sigma_t=1e6)
     for xi in ((1, 1), (3, 0)):
         wm = weight_multilateral((0, 0), xi, img, tex, params)
@@ -165,6 +164,40 @@ def test_huge_sigma_t_multilateral_equals_bilateral():
     assert np.abs(multi.pixels - bi.pixels).max() <= 1e-6
 
 
+def test_infinite_sigma_t_multilateral_is_bilateral_bit_for_bit():
+    # The exact limit: the cross-label factor is exp(-0) = 1, and so is the
+    # same-label factor, so every weight is the bilateral one.
+    rng = np.random.default_rng(12)
+    for shape in ((17, 13), (9, 11, 3)):
+        img = ImageBuffer(rng.random(shape))
+        for policy in (REPLICATE, MIRROR):
+            for params in (FilterParams(sigma_t=math.inf),
+                           FilterParams(window_radius=3, sigma_t=math.inf, passes=2)):
+                multi = filter_image(img, params, FilterMode.MULTILATERAL, policy)
+                bi = filter_image(img, params, FilterMode.BILATERAL, policy)
+                assert np.array_equal(multi.pixels, bi.pixels), (shape, policy)
+
+
+@pytest.mark.parametrize("sigma_t", [0.1, 0.05])
+def test_tiny_cross_label_factor_is_not_rounded_to_zero(sigma_t):
+    # The centre differs in label from all its neighbours, so each of its
+    # weights carries the factor exp(-0.5 / sigma_t^2): e^-50 and e^-200.
+    # Those are tiny but nonzero; a factor built as 1 + (cf - 1) would
+    # round to exactly 0 and leave the centre at 0.
+    pixels = np.ones((7, 7))
+    pixels[3, 3] = 0.0
+    labels = np.zeros((7, 7), dtype=np.uint8)
+    labels[3, 3] = 1
+    tex = TextureMap(labels=labels)
+    params = FilterParams(sigma_t=sigma_t)
+    out = filter_image(ImageBuffer(pixels), params, FilterMode.MULTILATERAL, texture=tex)
+    want = filter_oracle(ImageBuffer(pixels), params, FilterMode.MULTILATERAL, texture=tex)
+    centre = out.pixels[3, 3]
+    assert centre > 0.0
+    assert abs(centre - want.pixels[3, 3]) <= 1e-12 * want.pixels[3, 3]
+    assert np.abs(out.pixels - want.pixels).max() <= 1e-12
+
+
 def test_average_mode_is_window_mean():
     rng = np.random.default_rng(5)
     img = ImageBuffer(rng.random((6, 6)))
@@ -203,9 +236,7 @@ def _check_mirror_equivariance(monkeypatch, band_rows, workers):
                 tex = compute_texture_map(img, policy=policy)
                 for axis in (1, 0):
                     flipped = ImageBuffer(np.flip(img.pixels, axis))
-                    tex_flipped = TextureMap(
-                        labels=np.flip(tex.labels, axis),
-                        energy=EnergyField(np.flip(tex.energy.energies, axis + 1)))
+                    tex_flipped = TextureMap(labels=np.flip(tex.labels, axis))
                     for params in (FilterParams(), FilterParams(window_radius=3)):
                         for mode in MODES:
                             a = filter_image(img, params, mode, policy, tex)

@@ -9,18 +9,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edgekeep.image import BoundaryPolicy, ImageBuffer, fold_index, load_pnm, save_pnm
-from edgekeep.kernels import convolve, gaussian_derivative_taps
+from edgekeep.kernels import convolve, gaussian_derivative_taps, window_mean
 from edgekeep.texture import (
     EXPORT_GRAY_LEVELS,
     ORIENTATIONS_DEG,
-    EnergyField,
-    SubBandSet,
     TextureClass,
     TextureParams,
     classify,
     compute_texture_map,
     decompose,
     local_energy,
+    orientation_energies,
     steerable_radius,
     texture_distance,
     texture_map_image,
@@ -43,7 +42,7 @@ def interior(labels):
 
 def test_constant_image_gives_zero_bands():
     bands = decompose(ImageBuffer(np.full((10, 10), 0.5)))
-    assert np.abs(bands.bands).max() <= 1e-10
+    assert np.abs(bands).max() <= 1e-10
 
 
 def test_band0_is_exactly_base_response():
@@ -51,17 +50,17 @@ def test_band0_is_exactly_base_response():
     img = ImageBuffer(rng.random((9, 9)))
     bands = decompose(img)
     g, d = gaussian_derivative_taps(1.0, steerable_radius(1.0))
-    assert np.array_equal(bands.band(0), convolve(img, g, d))
-    assert np.array_equal(bands.band(1), convolve(img, d, g))
+    assert np.array_equal(bands[0], convolve(img, g, d))
+    assert np.array_equal(bands[1], convolve(img, d, g))
 
 
 def test_band45_is_steered_combination():
     rng = np.random.default_rng(1)
     bands = decompose(ImageBuffer(rng.random((8, 8))))
-    expected = (bands.band(0) + bands.band(1)) / math.sqrt(2.0)
-    assert np.abs(bands.band(2) - expected).max() <= 1e-12
-    expected_neg = (bands.band(0) - bands.band(1)) / math.sqrt(2.0)
-    assert np.abs(bands.band(3) - expected_neg).max() <= 1e-12
+    expected = (bands[0] + bands[1]) / math.sqrt(2.0)
+    assert np.abs(bands[2] - expected).max() <= 1e-12
+    expected_neg = (bands[0] - bands[1]) / math.sqrt(2.0)
+    assert np.abs(bands[3] - expected_neg).max() <= 1e-12
 
 
 def test_orientation_order_is_fixed():
@@ -111,48 +110,79 @@ def gray_fields(max_side):
 @given(field=gray_fields(12), policy=POLICIES, sigma_g=st.sampled_from([0.5, 1.0, 1.5]))
 def test_decompose_matches_analytic_oracle(field, policy, sigma_g):
     # Sides from 1 to 12 against radii 3 and 6: many windows exceed the image.
-    bands = decompose(field, sigma_g, policy).bands
+    bands = decompose(field, sigma_g, policy)
     assert np.abs(bands - decompose_oracle(field, sigma_g, policy)).max() <= 1e-12
 
 
 # --- local energy ---
 
 def test_zero_band_zero_energy():
-    bands = SubBandSet(np.zeros((4, 6, 6)))
-    energy = local_energy(bands, 2)
-    assert np.all(energy.energies == 0.0)
+    energy = local_energy(np.zeros((4, 6, 6)), 2)
+    assert np.all(energy == 0.0)
 
 
 def test_constant_band_energy_is_square():
     c = -0.37
-    bands = SubBandSet(np.full((4, 6, 6), c))
-    energy = local_energy(bands, 1)
-    assert np.abs(energy.energies - c * c).max() <= 1e-12
+    energy = local_energy(np.full((4, 6, 6), c), 1)
+    assert np.abs(energy - c * c).max() <= 1e-12
 
 
 def test_local_energy_matches_window_loop():
     rng = np.random.default_rng(2)
     raw = rng.standard_normal((4, 7, 7))
-    energy = local_energy(SubBandSet(raw), 1, REPLICATE)
+    energy = local_energy(raw, 1, REPLICATE)
     for k in range(4):
         sq = np.pad(raw[k] * raw[k], 1, mode="edge")
         for y in range(7):
             for x in range(7):
                 expected = sq[y:y + 3, x:x + 3].mean()
-                assert abs(energy.energies[k, y, x] - expected) <= 1e-12
+                assert abs(energy[k, y, x] - expected) <= 1e-12
 
 
 def test_energy_field_rejects_negative():
     bad = np.zeros((4, 3, 3))
     bad[0, 0, 0] = -1.0
-    with pytest.raises(ValueError):
-        EnergyField(bad)
+    with pytest.raises(ValueError, match="nonnegative"):
+        classify(bad, TextureParams(smooth_threshold=0.5))
+
+
+# --- structure-tensor energies ---
+
+@settings(max_examples=80, deadline=None)
+@given(field=gray_fields(16), policy=POLICIES, sigma_g=st.sampled_from([0.5, 1.0, 1.5]),
+       window_radius=st.integers(1, 3))
+def test_tensor_energies_match_four_band_energies(field, policy, sigma_g, window_radius):
+    energy = orientation_energies(field, sigma_g, policy, window_radius)
+    expected = local_energy(decompose(field, sigma_g, policy), window_radius, policy)
+    assert energy.shape == expected.shape == (4,) + field.shape
+    assert np.all(energy >= 0.0)
+    # Every energy is at most E45 + E-45 = E0 + E90, the pixel's tensor trace.
+    # Squares below the normal range are subnormal and keep no relative
+    # precision, hence the absolute floor at the smallest normal float.
+    trace = expected[0] + expected[1]
+    assert np.all(np.abs(energy - expected) <= 1e-12 * trace + np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("policy", list(BoundaryPolicy))
+def test_diagonal_ramp_energy_is_clamped_at_zero(policy):
+    # bx == by away from the border, so E-45 = (A + B)/2 - C is zero in
+    # exact arithmetic; unclamped, its rounding goes below zero here.
+    y, x = np.mgrid[0:40, 0:40]
+    field = (x + y) / 78.0
+    energy = orientation_energies(field, 1.0, policy)
+    assert np.all(energy >= 0.0)
+    inner = (slice(INTERIOR, -INTERIOR),) * 2
+    assert np.all(energy[3][inner] <= 1e-12 * energy[2][inner])
+    bands = decompose(field, 1.0, policy)
+    a, b, c = (window_mean(p, 2, policy) for p in (bands[0] ** 2, bands[1] ** 2,
+                                                    bands[0] * bands[1]))
+    assert ((a + b) * 0.5 - c).min() < 0.0
 
 
 # --- classification rules ---
 
 def _single_pixel(e0, e90, e45, e_neg45):
-    return EnergyField(np.array([e0, e90, e45, e_neg45], dtype=float).reshape(4, 1, 1))
+    return np.array([e0, e90, e45, e_neg45], dtype=float).reshape(4, 1, 1)
 
 
 def test_all_small_is_smooth():
@@ -212,13 +242,13 @@ def classify_reference(e, params):
 def test_classify_matches_argmax_partition_rule(e, threshold, ratio):
     # Small integer energies make exact ties between bands common.
     params = TextureParams(smooth_threshold=threshold, complex_ratio=ratio)
-    assert np.array_equal(classify(EnergyField(e), params).labels,
+    assert np.array_equal(classify(e, params).labels,
                           classify_reference(e, params))
 
 
 def test_every_pixel_gets_exactly_one_valid_label():
     rng = np.random.default_rng(3)
-    energy = EnergyField(rng.random((4, 12, 11)))
+    energy = rng.random((4, 12, 11))
     tex = classify(energy, TextureParams(smooth_threshold=0.3))
     assert tex.labels.shape == (12, 11)
     assert set(np.unique(tex.labels)) <= {int(c) for c in TextureClass}
@@ -227,9 +257,9 @@ def test_every_pixel_gets_exactly_one_valid_label():
 def test_classification_scale_covariance():
     rng = np.random.default_rng(4)
     raw = rng.random((4, 9, 9))
-    base = classify(EnergyField(raw), TextureParams(smooth_threshold=0.25))
+    base = classify(raw, TextureParams(smooth_threshold=0.25))
     for k in (1e-3, 7.0, 1e4):
-        scaled = classify(EnergyField(raw * k),
+        scaled = classify(raw * k,
                           TextureParams(smooth_threshold=0.25 * k))
         assert np.array_equal(base.labels, scaled.labels)
 
@@ -268,9 +298,9 @@ _FLIP_LABELS = np.array([TextureClass.SMOOTH, TextureClass.COMPLEX, TextureClass
        sigma_g=st.sampled_from([0.5, 1.0, 1.5]), threshold=st.floats(0.0, 0.2))
 def test_flips_are_exact_with_diagonals_swapped(field, policy, axis, sigma_g, threshold):
     params = TextureParams(smooth_threshold=threshold)
-    energy = local_energy(decompose(field, sigma_g, policy), 2, policy)
-    flipped = local_energy(decompose(np.flip(field, axis), sigma_g, policy), 2, policy)
-    assert np.array_equal(flipped.energies, np.flip(energy.energies[[0, 1, 3, 2]], axis + 1))
+    energy = orientation_energies(field, sigma_g, policy)
+    flipped = orientation_energies(np.flip(field, axis), sigma_g, policy)
+    assert np.array_equal(flipped, np.flip(energy[[0, 1, 3, 2]], axis + 1))
     labels = classify(energy, params).labels
     assert np.array_equal(classify(flipped, params).labels, np.flip(_FLIP_LABELS[labels], axis))
 
@@ -302,9 +332,8 @@ def test_texture_factor_closed_form():
 
 def test_export_gray_levels():
     labels = np.array([[0, 1, 2], [3, 4, 5]], dtype=np.uint8)
-    energy = EnergyField(np.zeros((4, 2, 3)))
     from edgekeep.texture import TextureMap
-    img = texture_map_image(TextureMap(labels=labels, energy=energy))
+    img = texture_map_image(TextureMap(labels=labels))
     data = save_pnm(img)
     assert load_pnm(data).pixels.shape == (2, 3)
     assert list(data[-6:]) == list(EXPORT_GRAY_LEVELS)
