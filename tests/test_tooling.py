@@ -1,7 +1,8 @@
-"""The package functions the benchmark harness traces must keep existing."""
+"""Benchmark tooling: the traced function names and the perf-record script."""
 
 import ast
-import importlib
+import importlib.util
+import json
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -28,3 +29,50 @@ def test_every_traced_function_resolves_in_the_package():
         if not callable(getattr(mod, function, None)):
             missing.append(f"{module}.{function}")
     assert missing == []
+
+
+def _load_bench_record():
+    path = SPANS.parent.parent / "scripts" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write_run(directory, seed, trace, metrics, sha):
+    directory.mkdir(parents=True, exist_ok=True)
+    run = {"facts": {"git_sha": sha, "src_sha256": "d" + sha, "numpy": "2", "python": "3",
+                     "nproc": 2},
+           "result": {"metrics": {name: {"value": value} for name, value in metrics.items()}},
+           "failed": 0}
+    if trace:
+        run["absent"] = []
+    else:
+        run["speed_factor"] = 1.0
+    name = f"gray_multilateral_1024-seed{seed}-trace{trace}.json"
+    (directory / name).write_text(json.dumps(run))
+
+
+def test_bench_record_folds_runs_into_medians_and_pair_wins(tmp_path):
+    record_script = _load_bench_record()
+    names = ("mpix_s", "op_s.p50", "op_s.tail", "peak_rss_mb", "setup_s")
+    for seed, (old, new) in zip((5, 6, 7), ((2.0, 2.6), (2.2, 2.1), (1.9, 2.5))):
+        _write_run(tmp_path / "a", seed, 0, dict.fromkeys(names, old), "aaa")
+        _write_run(tmp_path / "b", seed, 0, dict.fromkeys(names, new), "bbb")
+    _write_run(tmp_path / "b", 8, 1, {"texture.mpix_s": 4.0}, "bbb")
+    out = tmp_path / "BENCH.json"
+    assert record_script.main([str(out), f"parent={tmp_path / 'a'}",
+                               f"change={tmp_path / 'b'}"]) == 0
+    record = json.loads(out.read_text())
+    change = record["sides"]["change"]["gray_multilateral_1024"]
+    assert change["git_sha"] == ["bbb"]
+    assert change["end_to_end"]["metrics"]["mpix_s"] == {
+        "median": 2.5, "q1": 2.3, "q3": 2.55, "n": 3}
+    assert change["per_layer"]["metrics"]["texture.mpix_s"]["median"] == 4.0
+    assert change["per_layer"]["absent"] == []
+    mpix = record["comparisons"]["change"]["gray_multilateral_1024"]["mpix_s"]
+    assert mpix["better_pairs"] == 2 and mpix["pairs"] == 3
+    assert mpix["ratio_of_medians"] == 2.5 / 2.0
+    # Lower is better for times: the change is slower on 2 of 3 seeds.
+    assert record["comparisons"]["change"]["gray_multilateral_1024"]["setup_s"][
+        "better_pairs"] == 1
