@@ -6,10 +6,11 @@ for example `BENCH_1.json parent=A/perfbench/results change=B/perfbench/results`
 
 Each NAME=DIR names one side of a comparison and the directory of perfbench
 result files (<workload>-seed<N>-trace<0|1>.json) its runs wrote. For every
-side and workload the record holds the median and quartiles of each metric
-over the runs (end-to-end metrics from --trace 0 runs, per-layer metrics from
---trace 1 runs), the seeds, the git SHAs and source digests measured, and the
-machine facts: numpy, python, nproc and perfbench's machine-speed factor,
+side and workload the record holds each metric's value per seed and the
+median, quartiles and spread that perfbench/baseline.py reports for them
+(end-to-end metrics from --trace 0 runs, per-layer metrics from --trace 1
+runs; two runs or more each), the git SHAs and source digests measured, and
+the machine facts: numpy, python, nproc and perfbench's machine-speed factor,
 and the traced functions a run found absent.
 Every side after the first is also compared with the first, seed by seed, in
 the direction BENCHMARK.json declares for each end-to-end metric.
@@ -23,15 +24,16 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from baseline import summarise  # noqa: E402  (perfbench's own spread measure)
 
 
 def spread(values: list[float]) -> dict:
-    """Median and quartiles (linear interpolation, as numpy's default)."""
-    if len(values) == 1:
-        q1 = q3 = values[0]
-    else:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+    """perfbench's median, quartiles and spread, plus the values themselves."""
+    if len(values) < 2:
+        raise SystemExit("bench_record: every side and workload needs two runs or more")
+    return dict(summarise(values), n=len(values), values=values)
 
 
 def load_side(results: Path) -> dict:
@@ -59,19 +61,21 @@ def summarize(runs: dict) -> dict:
             files = by_trace.get(trace, {})
             if not files:
                 continue
-            names = next(iter(files.values()))["result"]["metrics"]
+            seeds = sorted(files)
+            ordered = [files[seed] for seed in seeds]
+            names = ordered[0]["result"]["metrics"]
             entry[section] = {
-                "seeds": sorted(files),
-                "failed": sum(run["failed"] for run in files.values()),
+                "seeds": seeds,
+                "failed": sum(run["failed"] for run in ordered),
                 "metrics": {name: spread([run["result"]["metrics"][name]["value"]
-                                          for run in files.values()]) for name in names},
+                                          for run in ordered]) for name in names},
             }
             if trace == "trace0":  # perfbench times its speed reference in these only
                 entry[section]["speed_factor"] = spread(
-                    [run["speed_factor"] for run in files.values()])
+                    [run["speed_factor"] for run in ordered])
             else:
                 entry[section]["absent"] = sorted(
-                    {name for run in files.values() for name in run.get("absent", [])})
+                    {name for run in ordered for name in run.get("absent", [])})
         summary[workload] = entry
     return summary
 

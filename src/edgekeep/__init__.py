@@ -43,7 +43,7 @@ from .texture import (
     compute_texture_map,
     decompose,
     local_energy,
-    orientation_energies,
+    steer,
     texture_map_image,
 )
 
@@ -81,10 +81,10 @@ __all__ = [
     "grating",
     "load_pnm",
     "local_energy",
-    "orientation_energies",
     "run_bench",
     "save_pnm",
     "snr",
+    "steer",
     "step_edge",
     "texture_map_image",
     "to_grayscale",

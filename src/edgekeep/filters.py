@@ -169,11 +169,10 @@ class _Scratch:
     """One worker's pass buffers, sized for the tallest band and reused by
     every band and offset it runs; `take` views a contiguous prefix."""
 
-    def __init__(self, c: int, rows: int, w: int, m: int, labelled: bool):
+    def __init__(self, c: int, rows: int, w: int, m: int):
         pairs = (rows + m) * (w + m)  # the most pair centres of one offset
-        self.diff, self.weight, self.square = np.empty(c * pairs), np.empty(pairs), np.empty(pairs)
-        if labelled:
-            self.same, self.differs = np.empty(pairs, dtype=bool), np.empty(pairs, dtype=bool)
+        self.diff, self.weight = np.empty(c * pairs), np.empty(pairs)
+        self.square, self.differs = np.empty(pairs), np.empty(pairs, dtype=bool)
         self.num, self.num_b = np.empty(c * rows * w), np.empty(c * rows * w)
         self.numerator = np.empty(c * rows * w)
         self.den, self.den_b = np.empty(rows * w), np.empty(rows * w)
@@ -230,14 +229,14 @@ def _filter_band(band: np.ndarray, band_labels: np.ndarray | None, params: Filte
         np.exp(weight, out=weight)
         if band_labels is not None:
             # factor = cross_factor where the labels differ, else exactly 1,
-            # as differs*cf + same: no masked multiply, and no 1 + (cf - 1)*u,
-            # which rounds cf - 1 to -1 for a tiny cf.
-            same, differs = take(scratch.same, *centres), take(scratch.differs, *centres)
-            np.equal(band_labels[rows_d, cols_d], band_labels[rows, cols], out=same)
-            np.logical_not(same, out=differs)
+            # as differs*cf + (not differs): no masked multiply, and no
+            # 1 + (cf - 1)*u, which rounds cf - 1 to -1 for a tiny cf.
+            differs = take(scratch.differs, *centres)
+            np.not_equal(band_labels[rows_d, cols_d], band_labels[rows, cols], out=differs)
             factor = np.multiply(differs.view(np.uint8), cross_factor,
                                  out=take(scratch.square, *centres))
-            factor += same.view(np.uint8)
+            np.logical_not(differs, out=differs)
+            factor += differs.view(np.uint8)
             weight *= factor
         diff *= weight
         np.subtract(diff[fwd], diff[bwd], out=num)
@@ -293,7 +292,7 @@ def _filter_pass(work: np.ndarray, mode: FilterMode, params: FilterParams,
     bounds = [h * i // count for i in range(count + 1)]
     bands = iter(zip(bounds, bounds[1:]))
     workers = min(_WORKERS, count)
-    scratches = [_Scratch(c, -(-h // count), w, m, labels is not None) for _ in range(workers)]
+    scratches = [_Scratch(c, -(-h // count), w, m) for _ in range(workers)]
     out = np.empty((c, h, w))
     lock = threading.Lock()
 

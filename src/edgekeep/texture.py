@@ -6,8 +6,10 @@ four fixed orientations. A band steered to angle theta is c*bx + s*by with
 c^2 A + 2cs C + s^2 B, a quadratic form in the windowed gradient structure
 tensor A = W[bx^2], B = W[by^2], C = W[bx*by] (Freeman & Adelson 1991). The
 four energies are E0 = A, E90 = B and E+/-45 = (A + B)/2 +/- C: three window
-means instead of four, and no steered bands. A three-rule cascade turns the
-energies into one of six texture classes. The resulting label map feeds the
+means instead of four, and no steered bands. decompose returns the pair,
+local_energy its four energies, and steer the bands themselves, which only
+tests and inspection build. A three-rule cascade turns the energies into one
+of six texture classes. The resulting label map feeds the
 multilateral filter's texture-similarity weight.
 """
 
@@ -116,10 +118,13 @@ class TextureMap:
         return self.labels.shape
 
 
-def _gradient_pair(img, sigma_g: float, policy: BoundaryPolicy,
-                   radius: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The base responses bx = d(u) g(v) and by = g(u) d(v): separable
-    convolutions, each a row pass and a column pass over mirror-paired taps."""
+def decompose(img, sigma_g: float = DEFAULT_SIGMA_G,
+              policy: BoundaryPolicy = BoundaryPolicy.REPLICATE,
+              radius: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The steerable basis pair (bx, by): bx = d(u) g(v) and by = g(u) d(v),
+    separable convolutions, each a row pass and a column pass over
+    mirror-paired taps. Every oriented band is a combination of the two
+    (see steer)."""
     check_sigma_g(sigma_g)
     if isinstance(img, ImageBuffer):
         if img.channels != 1:
@@ -131,46 +136,36 @@ def _gradient_pair(img, sigma_g: float, policy: BoundaryPolicy,
     return convolve(img, g, d, policy), convolve(img, d, g, policy)
 
 
-def decompose(img, sigma_g: float = DEFAULT_SIGMA_G,
-              policy: BoundaryPolicy = BoundaryPolicy.REPLICATE,
-              radius: int | None = None) -> np.ndarray:
-    """The four steered bands cos(theta) * bx + sin(theta) * by, stacked
-    (4, h, w) in ORIENTATIONS_DEG order.
+def steer(basis) -> np.ndarray:
+    """The four bands cos(theta) * bx + sin(theta) * by of a basis pair,
+    stacked (4, h, w) in ORIENTATIONS_DEG order.
 
-    compute_texture_map never builds these bands (see orientation_energies);
-    they stay for inspection and as a test oracle.
+    compute_texture_map never builds these bands (see local_energy); they
+    stay for inspection and as a test oracle.
     """
-    bx, by = _gradient_pair(img, sigma_g, policy, radius)
+    bx, by = basis
     return np.stack([c * bx + s * by for c, s in _STEERING])
 
 
-def local_energy(bands: np.ndarray, window_radius: int = 2,
+def local_energy(basis, window_radius: int = 2,
                  policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> np.ndarray:
-    """Windowed mean of squared band coefficients, per band of a (k, h, w) stack."""
+    """Windowed mean energies of the four steered bands, (4, h, w), all >= 0.
+
+    Equal, up to rounding, to the window means of the squared steer(basis)
+    bands, but computed from the structure tensor: E0 = A, E90 = B,
+    E+/-45 = (A + B)/2 +/- C. E+/-45 are clamped at 0, where a cancellation
+    can round them below it. A horizontal or vertical flip negates bx or by
+    exactly, so C changes sign exactly and the flipped energies are exact,
+    with E45 and E-45 swapped.
+    """
     if window_radius < 1:
         raise ValueError(f"window_radius must be >= 1, got {window_radius}")
-    return np.stack([window_mean(band * band, window_radius, policy) for band in bands])
-
-
-def orientation_energies(img, sigma_g: float = DEFAULT_SIGMA_G,
-                         policy: BoundaryPolicy = BoundaryPolicy.REPLICATE,
-                         window_radius: int = 2) -> np.ndarray:
-    """Windowed energies of the four steered bands, (4, h, w), all >= 0.
-
-    Equal, up to rounding, to local_energy(decompose(img)), but computed
-    from the structure tensor: E0 = A, E90 = B, E+/-45 = (A + B)/2 +/- C.
-    E+/-45 are clamped at 0, where a cancellation can round them below it.
-    A horizontal or vertical flip negates bx or by exactly, so C changes
-    sign exactly and the flipped energies are exact, with E45 and E-45
-    swapped.
-    """
-    bx, by = _gradient_pair(img, sigma_g, policy)
+    bx, by = basis
     energies = np.empty((len(ORIENTATIONS_DEG),) + bx.shape)
     product = np.multiply(bx, bx)
     energies[0] = window_mean(product, window_radius, policy)
     energies[1] = window_mean(np.multiply(by, by, out=product), window_radius, policy)
     cross = window_mean(np.multiply(bx, by, out=product), window_radius, policy)
-    del bx, by
     half_trace = np.add(energies[0], energies[1], out=product)
     half_trace *= 0.5
     np.add(half_trace, cross, out=energies[2])
@@ -217,14 +212,15 @@ def classify(energies: np.ndarray, params: TextureParams | None = None) -> Textu
 def compute_texture_map(img: ImageBuffer, params: TextureParams | None = None,
                         sigma_g: float = DEFAULT_SIGMA_G,
                         policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> TextureMap:
-    """Orientation energies, then the three-rule classification.
+    """Steerable basis, its four orientation energies, then the three-rule
+    classification.
 
     Color images are grayscale-converted first; texture is independent of
     color.
     """
     params = params or TextureParams()
-    energies = orientation_energies(to_grayscale(img), sigma_g, policy,
-                                    params.energy_window_radius)
+    energies = local_energy(decompose(to_grayscale(img), sigma_g, policy),
+                            params.energy_window_radius, policy)
     return classify(energies, params)
 
 

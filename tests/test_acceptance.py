@@ -15,7 +15,8 @@ from edgekeep.filters import FilterMode, FilterParams, filter_image, filter_orac
 from edgekeep.image import ImageBuffer
 from edgekeep.metrics import edge_preserving_exponent, snr
 from edgekeep.synth import grating
-from edgekeep.texture import TextureClass, compute_texture_map, decompose, steerable_radius
+from edgekeep.texture import (TextureClass, compute_texture_map, decompose, steer,
+                             steerable_radius)
 
 MODES = (FilterMode.AVERAGE, FilterMode.BILATERAL, FilterMode.MULTILATERAL)
 
@@ -156,7 +157,7 @@ def test_criterion_8_steering_identity():
     worst = 0.0
     for _ in range(10):
         img = ImageBuffer(rng.random((14, 13)))
-        bands = decompose(img)
+        bands = steer(decompose(img))
         expected = (bands[0] + bands[1]) / math.sqrt(2.0)
         worst = max(worst, float(np.abs(bands[2] - expected).max()))
     ok = worst <= 1e-12

@@ -19,7 +19,7 @@ from edgekeep.texture import (
     compute_texture_map,
     decompose,
     local_energy,
-    orientation_energies,
+    steer,
     steerable_radius,
     texture_distance,
     texture_map_image,
@@ -41,14 +41,14 @@ def interior(labels):
 # --- decomposition ---
 
 def test_constant_image_gives_zero_bands():
-    bands = decompose(ImageBuffer(np.full((10, 10), 0.5)))
+    bands = steer(decompose(ImageBuffer(np.full((10, 10), 0.5))))
     assert np.abs(bands).max() <= 1e-10
 
 
 def test_band0_is_exactly_base_response():
     rng = np.random.default_rng(0)
     img = ImageBuffer(rng.random((9, 9)))
-    bands = decompose(img)
+    bands = steer(decompose(img))
     g, d = gaussian_derivative_taps(1.0, steerable_radius(1.0))
     assert np.array_equal(bands[0], convolve(img, g, d))
     assert np.array_equal(bands[1], convolve(img, d, g))
@@ -56,7 +56,7 @@ def test_band0_is_exactly_base_response():
 
 def test_band45_is_steered_combination():
     rng = np.random.default_rng(1)
-    bands = decompose(ImageBuffer(rng.random((8, 8))))
+    bands = steer(decompose(ImageBuffer(rng.random((8, 8)))))
     expected = (bands[0] + bands[1]) / math.sqrt(2.0)
     assert np.abs(bands[2] - expected).max() <= 1e-12
     expected_neg = (bands[0] - bands[1]) / math.sqrt(2.0)
@@ -110,29 +110,36 @@ def gray_fields(max_side):
 @given(field=gray_fields(12), policy=POLICIES, sigma_g=st.sampled_from([0.5, 1.0, 1.5]))
 def test_decompose_matches_analytic_oracle(field, policy, sigma_g):
     # Sides from 1 to 12 against radii 3 and 6: many windows exceed the image.
-    bands = decompose(field, sigma_g, policy)
+    bands = steer(decompose(field, sigma_g, policy))
     assert np.abs(bands - decompose_oracle(field, sigma_g, policy)).max() <= 1e-12
 
 
 # --- local energy ---
 
+def four_band_energy(bands, window_radius, policy):
+    """Window means of each squared band: the direct path local_energy skips."""
+    return np.stack([window_mean(band * band, window_radius, policy) for band in bands])
+
+
 def test_zero_band_zero_energy():
-    energy = local_energy(np.zeros((4, 6, 6)), 2)
+    energy = local_energy(np.zeros((2, 6, 6)), 2)
+    assert energy.shape == (4, 6, 6)
     assert np.all(energy == 0.0)
 
 
 def test_constant_band_energy_is_square():
-    c = -0.37
-    energy = local_energy(np.full((4, 6, 6), c), 1)
-    assert np.abs(energy - c * c).max() <= 1e-12
+    basis = np.stack([np.full((6, 6), -0.37), np.full((6, 6), 0.21)])
+    energy = local_energy(basis, 1)
+    assert np.abs(energy - steer(basis) ** 2).max() <= 1e-12
 
 
 def test_local_energy_matches_window_loop():
     rng = np.random.default_rng(2)
-    raw = rng.standard_normal((4, 7, 7))
+    raw = rng.standard_normal((2, 7, 7))
     energy = local_energy(raw, 1, REPLICATE)
+    bands = steer(raw)
     for k in range(4):
-        sq = np.pad(raw[k] * raw[k], 1, mode="edge")
+        sq = np.pad(bands[k] * bands[k], 1, mode="edge")
         for y in range(7):
             for x in range(7):
                 expected = sq[y:y + 3, x:x + 3].mean()
@@ -152,8 +159,9 @@ def test_energy_field_rejects_negative():
 @given(field=gray_fields(16), policy=POLICIES, sigma_g=st.sampled_from([0.5, 1.0, 1.5]),
        window_radius=st.integers(1, 3))
 def test_tensor_energies_match_four_band_energies(field, policy, sigma_g, window_radius):
-    energy = orientation_energies(field, sigma_g, policy, window_radius)
-    expected = local_energy(decompose(field, sigma_g, policy), window_radius, policy)
+    basis = decompose(field, sigma_g, policy)
+    energy = local_energy(basis, window_radius, policy)
+    expected = four_band_energy(steer(basis), window_radius, policy)
     assert energy.shape == expected.shape == (4,) + field.shape
     assert np.all(energy >= 0.0)
     # Every energy is at most E45 + E-45 = E0 + E90, the pixel's tensor trace.
@@ -169,13 +177,12 @@ def test_diagonal_ramp_energy_is_clamped_at_zero(policy):
     # exact arithmetic; unclamped, its rounding goes below zero here.
     y, x = np.mgrid[0:40, 0:40]
     field = (x + y) / 78.0
-    energy = orientation_energies(field, 1.0, policy)
+    bx, by = decompose(field, 1.0, policy)
+    energy = local_energy((bx, by), 2, policy)
     assert np.all(energy >= 0.0)
     inner = (slice(INTERIOR, -INTERIOR),) * 2
     assert np.all(energy[3][inner] <= 1e-12 * energy[2][inner])
-    bands = decompose(field, 1.0, policy)
-    a, b, c = (window_mean(p, 2, policy) for p in (bands[0] ** 2, bands[1] ** 2,
-                                                    bands[0] * bands[1]))
+    a, b, c = (window_mean(p, 2, policy) for p in (bx * bx, by * by, bx * by))
     assert ((a + b) * 0.5 - c).min() < 0.0
 
 
@@ -298,8 +305,8 @@ _FLIP_LABELS = np.array([TextureClass.SMOOTH, TextureClass.COMPLEX, TextureClass
        sigma_g=st.sampled_from([0.5, 1.0, 1.5]), threshold=st.floats(0.0, 0.2))
 def test_flips_are_exact_with_diagonals_swapped(field, policy, axis, sigma_g, threshold):
     params = TextureParams(smooth_threshold=threshold)
-    energy = orientation_energies(field, sigma_g, policy)
-    flipped = orientation_energies(np.flip(field, axis), sigma_g, policy)
+    energy = local_energy(decompose(field, sigma_g, policy), 2, policy)
+    flipped = local_energy(decompose(np.flip(field, axis), sigma_g, policy), 2, policy)
     assert np.array_equal(flipped, np.flip(energy[[0, 1, 3, 2]], axis + 1))
     labels = classify(energy, params).labels
     assert np.array_equal(classify(flipped, params).labels, np.flip(_FLIP_LABELS[labels], axis))

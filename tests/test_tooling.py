@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
@@ -60,15 +62,18 @@ def test_bench_record_folds_runs_into_medians_and_pair_wins(tmp_path):
         _write_run(tmp_path / "a", seed, 0, dict.fromkeys(names, old), "aaa")
         _write_run(tmp_path / "b", seed, 0, dict.fromkeys(names, new), "bbb")
     _write_run(tmp_path / "b", 8, 1, {"texture.mpix_s": 4.0}, "bbb")
+    _write_run(tmp_path / "b", 9, 1, {"texture.mpix_s": 4.4}, "bbb")
     out = tmp_path / "BENCH.json"
     assert record_script.main([str(out), f"parent={tmp_path / 'a'}",
                                f"change={tmp_path / 'b'}"]) == 0
     record = json.loads(out.read_text())
     change = record["sides"]["change"]["gray_multilateral_1024"]
     assert change["git_sha"] == ["bbb"]
+    # The quartiles perfbench/baseline.py reports: statistics.quantiles' default.
     assert change["end_to_end"]["metrics"]["mpix_s"] == {
-        "median": 2.5, "q1": 2.3, "q3": 2.55, "n": 3}
-    assert change["per_layer"]["metrics"]["texture.mpix_s"]["median"] == 4.0
+        "median": 2.5, "q1": 2.1, "q3": 2.6, "spread": (2.6 - 2.1) / 2.5, "n": 3,
+        "values": [2.6, 2.1, 2.5]}
+    assert change["per_layer"]["metrics"]["texture.mpix_s"]["median"] == 4.2
     assert change["per_layer"]["absent"] == []
     mpix = record["comparisons"]["change"]["gray_multilateral_1024"]["mpix_s"]
     assert mpix["better_pairs"] == 2 and mpix["pairs"] == 3
@@ -76,3 +81,10 @@ def test_bench_record_folds_runs_into_medians_and_pair_wins(tmp_path):
     # Lower is better for times: the change is slower on 2 of 3 seeds.
     assert record["comparisons"]["change"]["gray_multilateral_1024"]["setup_s"][
         "better_pairs"] == 1
+
+
+def test_bench_record_refuses_a_single_run(tmp_path):
+    record_script = _load_bench_record()
+    _write_run(tmp_path / "a", 5, 0, {"mpix_s": 2.0}, "aaa")
+    with pytest.raises(SystemExit, match="two runs"):
+        record_script.main([str(tmp_path / "BENCH.json"), f"parent={tmp_path / 'a'}"])
