@@ -1,8 +1,9 @@
 """Windowed filter engines: bilateral, texture-augmented multilateral, box average.
 
-The optimized engine cuts each pass into row bands of about _BAND_SAMPLES
-padded samples and spreads the bands over the available cores; within a band
-it walks window offsets with whole-band array slices. Every pixel sees the
+The optimized engine cuts each pass into row bands of about
+kernels._BAND_SAMPLES padded channel-samples and runs them on the package's
+band threads (kernels._run_bands); within a band it walks window offsets with
+whole-band array slices. Every pixel sees the
 same operations in the same order whatever the band size or core count, so
 the output depends on neither. The oracle variant is a literal per-pixel
 transcription kept for equivalence testing. Every weight factor is symmetric
@@ -16,15 +17,13 @@ exactly flipped outputs.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .image import BoundaryPolicy, ImageBuffer, fold_index, pad_field, sample_at
+from .kernels import _run_bands
 from .texture import (
     DEFAULT_SIGMA_G,
     TextureMap,
@@ -32,46 +31,6 @@ from .texture import (
     compute_texture_map,
     texture_distance,
 )
-
-
-#: Channel-samples of padded input, c * rows * (w + 2m), per row band of a
-#: filter pass (512 KiB of float64): the band's per-offset temporaries then
-#: stay near a core's cache instead of spanning the whole image.
-_BAND_SAMPLES = 65536
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
-#: Threads a multi-band pass runs on, the calling thread included.
-_WORKERS = _available_cpus()
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _band_pool() -> ThreadPoolExecutor:
-    """The module's band threads, created on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
-                                       thread_name_prefix="edgekeep-band")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child has none of the parent's threads; it makes its own pool.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 class FilterMode(Enum):
@@ -276,11 +235,7 @@ def _filter_band(band: np.ndarray, band_labels: np.ndarray | None, params: Filte
 
 def _filter_pass(work: np.ndarray, mode: FilterMode, params: FilterParams,
                  policy: BoundaryPolicy, labels: np.ndarray | None) -> np.ndarray:
-    """One pass over the image, as row bands spread over the worker threads.
-
-    Every band runs the same operations in the same order on each pixel, so
-    the output does not depend on the band size or the number of workers.
-    """
+    """One pass over the image, in row bands on the band threads."""
     h, w, c = work.shape
     m = params.window_radius
     # Channel planes first, so per-channel arithmetic runs over contiguous
@@ -288,32 +243,17 @@ def _filter_pass(work: np.ndarray, mode: FilterMode, params: FilterParams,
     padded = np.ascontiguousarray(np.moveaxis(pad_field(work, m, policy), -1, 0))
     padded_labels = None if labels is None else pad_field(labels, m, policy)
     weighted = mode is not FilterMode.AVERAGE
-    count = min(h, -(-c * h * (w + 2 * m) // _BAND_SAMPLES))
-    bounds = [h * i // count for i in range(count + 1)]
-    bands = iter(zip(bounds, bounds[1:]))
-    workers = min(_WORKERS, count)
-    scratches = [_Scratch(c, -(-h // count), w, m) for _ in range(workers)]
+    scratches: dict[int, _Scratch] = {}
     out = np.empty((c, h, w))
-    lock = threading.Lock()
 
-    def work_through_bands(scratch: _Scratch) -> None:
-        while True:
-            with lock:
-                band = next(bands, None)
-            if band is None:
-                return
-            y0, y1 = band
-            _filter_band(padded[:, y0:y1 + 2 * m],
-                         None if padded_labels is None else padded_labels[y0:y1 + 2 * m],
-                         params, weighted, scratch, out[:, y0:y1])
+    def band(y0: int, y1: int, worker: int) -> None:
+        if worker not in scratches:  # band heights differ by one row at most
+            scratches[worker] = _Scratch(c, y1 - y0 + 1, w, m)
+        _filter_band(padded[:, y0:y1 + 2 * m],
+                     None if padded_labels is None else padded_labels[y0:y1 + 2 * m],
+                     params, weighted, scratches[worker], out[:, y0:y1])
 
-    futures = [_band_pool().submit(work_through_bands, s) for s in scratches[1:]]
-    try:
-        work_through_bands(scratches[0])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+    _run_bands(h, c * (w + 2 * m), band)
     return np.moveaxis(out, 0, -1)
 
 

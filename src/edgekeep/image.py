@@ -60,14 +60,14 @@ class ImageBuffer:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=np.float64)
+        arr = np.array(self.pixels, dtype=np.float64)
         if not (arr.ndim == 2 or (arr.ndim == 3 and arr.shape[2] == 3)):
             raise ValueError(f"expected (h, w) or (h, w, 3) samples, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"image dimensions must be >= 1, got shape {arr.shape}")
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        # min and max propagate NaN, and both comparisons are false for it.
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError("samples must lie in [0, 1]")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -114,9 +114,10 @@ def pad_field(field: np.ndarray, radius: int, policy: BoundaryPolicy) -> np.ndar
 
 
 def to_grayscale(img: ImageBuffer) -> ImageBuffer:
-    """BT.601 luma of an RGB image; gray images pass through as a copy."""
+    """BT.601 luma of an RGB image; a gray image is returned as it is, since
+    buffers are immutable."""
     if img.channels == 1:
-        return ImageBuffer(img.pixels)
+        return img
     r, g, b = img.pixels[..., 0], img.pixels[..., 1], img.pixels[..., 2]
     wr, wg, wb = LUMA_WEIGHTS
     # This summation order keeps pure white at exactly 1.0.

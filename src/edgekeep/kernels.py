@@ -1,4 +1,5 @@
-"""1-D Gaussian and derivative taps, separable convolution, and window means.
+"""1-D Gaussian and derivative taps, separable convolution, window means, and
+the row-band runner of every image-sized stage.
 
 Both texture kernels are separable: the steerable derivative pair is
 d(u) g(v) and g(u) d(v), and the energy window is a box. Each is applied as
@@ -7,17 +8,84 @@ mirror-paired taps, P(x - k) + P(x + k) for an even pair and
 P(x - k) - P(x + k) for an odd pair, before multiplying once, so a
 horizontal or vertical flip of the input flips an even pass's output
 exactly and negates an odd pass's output exactly.
+
+These passes, the texture energies and labels, and the filter passes run in
+row bands of about _BAND_SAMPLES samples on one thread pool (_run_bands).
+Each sample sees the same operations in any band, so results depend on
+neither the band size nor the core count.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
 from .image import BoundaryPolicy, ImageBuffer, pad_field
 
-# Padded samples per block of rows in a separable pass (128 KiB of float64),
-# small enough for the pass temporaries to stay in a core's cache.
-_BLOCK_SAMPLES = 16384
+#: Samples per row band (512 KiB of float64): enough numpy work per band to
+#: outweigh the Python between calls, which holds the GIL, and few enough for
+#: a band's temporaries to stay near a core's cache.
+_BAND_SAMPLES = 65536
+
+#: Threads a multi-band run uses, the calling thread included.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _band_pool() -> ThreadPoolExecutor:
+    """The package's band threads, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
+                                       thread_name_prefix="edgekeep-band")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child has none of the parent's threads; it makes its own pool.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_bands(rows: int, row_samples: int, band) -> None:
+    """Call band(y0, y1, worker) for balanced bands (heights differ by one row
+    at most) of about _BAND_SAMPLES samples, over `rows` rows of `row_samples`.
+
+    Up to _WORKERS threads pull bands from one iterator; the calling thread is
+    worker 0, so a single band runs on it alone. `band` must start no band run
+    itself: the pool threads would wait on one another's queued bands forever.
+    """
+    count = max(1, min(rows, -(-rows * row_samples // _BAND_SAMPLES)))
+    bands = iter((rows * i // count, rows * (i + 1) // count) for i in range(count))
+    lock = threading.Lock()
+
+    def work_through_bands(worker: int) -> None:
+        while True:
+            with lock:
+                bounds = next(bands, None)
+            if bounds is None:
+                return
+            band(*bounds, worker)
+
+    futures = [_band_pool().submit(work_through_bands, i)
+               for i in range(1, min(_WORKERS, count))]
+    try:
+        work_through_bands(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def gaussian_derivative_taps(sigma: float, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -37,12 +105,14 @@ def gaussian_derivative_taps(sigma: float, radius: int) -> tuple[np.ndarray, np.
     return g, d
 
 
-def _taps_pass(src: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+def _taps_pass(src: np.ndarray, taps: np.ndarray, axis: int,
+               out: np.ndarray | None = None) -> np.ndarray:
     """out(x) = sum over u of taps[u + r] * src(x - u) along `axis`.
 
     `src` carries r = len(taps) // 2 samples of padding at both ends of
-    `axis`; the output drops them. Taps at +/-k are summed or subtracted as a
-    pair when they are equal or opposite, then multiplied once.
+    `axis`; the output, written to `out` when given, drops them. Taps at +/-k
+    are summed or subtracted as a pair when they are equal or opposite, then
+    multiplied once.
     """
     r = len(taps) // 2
     n = src.shape[axis] - 2 * r
@@ -52,7 +122,7 @@ def _taps_pass(src: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
         index[axis] = slice(r - u, r - u + n)
         return src[tuple(index)]
 
-    out = at(0) * taps[r]
+    out = np.multiply(at(0), taps[r], out=out)
     pair = np.empty_like(out)
     for k in range(1, r + 1):
         a, b = taps[r + k], taps[r - k]  # weights of src(x - k) and src(x + k)
@@ -72,20 +142,21 @@ def _taps_pass(src: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _separable(padded: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray) -> np.ndarray:
-    """Row pass, then column pass, over a field padded by the taps' radius.
-
-    Output rows are produced a block at a time so that every temporary of
-    both passes stays cache-sized; each output sample sees the same
-    operations in the same order whatever the block size.
+def _separable(padded: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,
+               out: np.ndarray, divisor: float = 1.0) -> np.ndarray:
+    """Row pass, then column pass, over a field padded by the taps' radius,
+    into `out`, each sample then divided by `divisor` unless it is 1; a row
+    band at a time, each sample seeing the same operations in any band.
     """
     r = len(row_taps) // 2
-    h = padded.shape[0] - 2 * r
-    out = np.empty((h, padded.shape[1] - 2 * r))
-    block = max(1, _BLOCK_SAMPLES // padded.shape[1])
-    for y in range(0, h, block):
-        rows = _taps_pass(padded[y:y + block + 2 * r], row_taps, 1)
-        out[y:y + block] = _taps_pass(rows, col_taps, 0)
+
+    def band(y0: int, y1: int, worker: int) -> None:
+        rows = _taps_pass(padded[y0:y1 + 2 * r], row_taps, 1)
+        _taps_pass(rows, col_taps, 0, out[y0:y1])
+        if divisor != 1.0:
+            np.divide(out[y0:y1], divisor, out=out[y0:y1])
+
+    _run_bands(out.shape[0], padded.shape[1], band)
     return out
 
 
@@ -110,12 +181,15 @@ def convolve(field, col_taps, row_taps,
     if row_taps.ndim != 1 or len(row_taps) % 2 != 1 or col_taps.shape != row_taps.shape:
         raise ValueError(f"taps must be 1-D, of one odd length, got shapes "
                          f"{col_taps.shape} and {row_taps.shape}")
-    return _separable(pad_field(field, len(row_taps) // 2, policy), col_taps, row_taps)
+    return _separable(pad_field(field, len(row_taps) // 2, policy), col_taps, row_taps,
+                      np.empty(field.shape))
 
 
 def window_mean(field: np.ndarray, radius: int,
-                policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> np.ndarray:
-    """Mean of `field` over the (2r+1)^2 window centered at each pixel.
+                policy: BoundaryPolicy = BoundaryPolicy.REPLICATE, *,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Mean of `field` over the (2r+1)^2 window centered at each pixel,
+    written to `out` (a float64 array of the field's shape) when given.
 
     A direct sum, rows then columns, with mirror-paired samples; no running
     or summed-area sums, whose cancellation drifts.
@@ -125,6 +199,5 @@ def window_mean(field: np.ndarray, radius: int,
     field = np.asarray(field, dtype=np.float64)
     side = 2 * radius + 1
     ones = np.ones(side)
-    acc = _separable(pad_field(field, radius, policy), ones, ones)
-    acc /= float(side * side)
-    return acc
+    return _separable(pad_field(field, radius, policy), ones, ones,
+                      np.empty(field.shape) if out is None else out, float(side * side))

@@ -11,6 +11,11 @@ local_energy its four energies, and steer the bands themselves, which only
 tests and inspection build. A three-rule cascade turns the energies into one
 of six texture classes. The resulting label map feeds the
 multilateral filter's texture-similarity weight.
+
+The kernels, tensor products and combination, and the label sweep run in
+row bands on the filter's band threads (see kernels); the public functions
+themselves run on the calling thread. classify takes its checks and the
+adaptive threshold over the whole array, so neither depends on the bands.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from enum import IntEnum
 import numpy as np
 
 from .image import BoundaryPolicy, ImageBuffer, to_grayscale
-from .kernels import convolve, gaussian_derivative_taps, window_mean
+from .kernels import _run_bands, convolve, gaussian_derivative_taps, window_mean
 
 #: Sub-band orientations in their fixed order (degrees).
 ORIENTATIONS_DEG = (0.0, 90.0, 45.0, -45.0)
@@ -101,15 +106,19 @@ class TextureParams:
 
 @dataclass(frozen=True, eq=False)
 class TextureMap:
-    """Per-pixel class labels, read-only uint8."""
+    """Per-pixel class labels, read-only uint8; each one a TextureClass value."""
 
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.ndim != 2:
-            raise ValueError(f"labels must be 2-D, got shape {labels.shape}")
-        labels = labels.astype(np.uint8)
+        given = np.asarray(self.labels)
+        if given.ndim != 2:
+            raise ValueError(f"labels must be 2-D, got shape {given.shape}")
+        with np.errstate(invalid="ignore"):  # casting NaN or inf warns
+            labels = given.astype(np.uint8)
+        if labels.size and not (labels.max() < len(TextureClass)
+                                and np.array_equal(labels, given)):
+            raise ValueError("labels must be integers from 0 to 5, the TextureClass values")
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
@@ -162,15 +171,23 @@ def local_energy(basis, window_radius: int = 2,
         raise ValueError(f"window_radius must be >= 1, got {window_radius}")
     bx, by = basis
     energies = np.empty((len(ORIENTATIONS_DEG),) + bx.shape)
-    product = np.multiply(bx, bx)
-    energies[0] = window_mean(product, window_radius, policy)
-    energies[1] = window_mean(np.multiply(by, by, out=product), window_radius, policy)
-    cross = window_mean(np.multiply(bx, by, out=product), window_radius, policy)
-    half_trace = np.add(energies[0], energies[1], out=product)
-    half_trace *= 0.5
-    np.add(half_trace, cross, out=energies[2])
-    np.subtract(half_trace, cross, out=energies[3])
-    np.maximum(energies[2:], 0.0, out=energies[2:])
+    product = np.empty(bx.shape)
+    # A, B and C go straight into the energy array, C into the E-45 plane,
+    # which the tensor combination writes last.
+    for a, b, plane in ((bx, bx, 0), (by, by, 1), (bx, by, 3)):
+        _run_bands(*bx.shape, lambda y0, y1, worker, a=a, b=b:
+                   np.multiply(a[y0:y1], b[y0:y1], out=product[y0:y1]))
+        window_mean(product, window_radius, policy, out=energies[plane])
+
+    def combine(y0: int, y1: int, worker: int) -> None:
+        e, half_trace = energies[:, y0:y1], np.add(energies[0, y0:y1], energies[1, y0:y1],
+                                                    out=product[y0:y1])
+        half_trace *= 0.5
+        np.add(half_trace, e[3], out=e[2])
+        np.subtract(half_trace, e[3], out=e[3])
+        np.maximum(e[2:], 0.0, out=e[2:])
+
+    _run_bands(*bx.shape, combine)
     return energies
 
 
@@ -194,18 +211,24 @@ def classify(energies: np.ndarray, params: TextureParams | None = None) -> Textu
     if threshold is None:
         threshold = max(ADAPTIVE_THRESHOLD_FRACTION * float(e.mean()),
                         _ADAPTIVE_THRESHOLD_FLOOR)
-    largest = e[0].copy()
-    second = np.full_like(largest, -np.inf)
-    labels = np.full(largest.shape, int(TextureClass.ORIENT_0), dtype=np.uint8)
-    smaller = np.empty_like(largest)
-    for k, band in enumerate(e[1:], start=1):
-        np.copyto(labels, int(TextureClass.ORIENT_0) + k, where=band > largest)
-        # The new second is the larger of the old second and whichever of
-        # (band, old largest) the new largest does not take.
-        np.maximum(second, np.minimum(band, largest, out=smaller), out=second)
-        np.maximum(largest, band, out=largest)
-    labels[second >= params.complex_ratio * largest] = int(TextureClass.COMPLEX)
-    labels[largest < threshold] = int(TextureClass.SMOOTH)
+    labels = np.empty(e.shape[1:], dtype=np.uint8)
+
+    def sweep(y0: int, y1: int, worker: int) -> None:
+        bands, band_labels = e[:, y0:y1], labels[y0:y1]
+        largest = bands[0].copy()
+        second = np.full_like(largest, -np.inf)
+        band_labels.fill(int(TextureClass.ORIENT_0))
+        smaller = np.empty_like(largest)
+        for k, band in enumerate(bands[1:], start=1):
+            np.copyto(band_labels, int(TextureClass.ORIENT_0) + k, where=band > largest)
+            # The new second is the larger of the old second and whichever of
+            # (band, old largest) the new largest does not take.
+            np.maximum(second, np.minimum(band, largest, out=smaller), out=second)
+            np.maximum(largest, band, out=largest)
+        band_labels[second >= params.complex_ratio * largest] = int(TextureClass.COMPLEX)
+        band_labels[largest < threshold] = int(TextureClass.SMOOTH)
+
+    _run_bands(e.shape[1], e.shape[0] * e.shape[2], sweep)
     return TextureMap(labels)
 
 

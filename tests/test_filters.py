@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgekeep import filters
+from edgekeep import filters, image, kernels
 from edgekeep.filters import (
     FilterMode,
     FilterParams,
@@ -36,8 +37,8 @@ def _use_bands(monkeypatch, img, radius, rows, workers):
     """Cut every pass over `img` into bands of `rows` output rows (one band
     when rows is None) and run them on `workers` threads."""
     budget = 1 << 62 if rows is None else rows * img.channels * (img.width + 2 * radius)
-    monkeypatch.setattr(filters, "_BAND_SAMPLES", budget)
-    monkeypatch.setattr(filters, "_WORKERS", workers)
+    monkeypatch.setattr(kernels, "_BAND_SAMPLES", budget)
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
 
 
 # --- weight functions ---
@@ -334,10 +335,11 @@ def test_image_within_band_budget_never_uses_pool(monkeypatch):
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
     monkeypatch.setattr(ThreadPoolExecutor, "map", refuse)
-    monkeypatch.setattr(filters, "_WORKERS", 2)
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
     rng = np.random.default_rng(17)
     for shape in ((64, 64), (40, 50, 3)):
         img = ImageBuffer(rng.random(shape))
+        compute_texture_map(img)
         for mode in MODES:
             filter_image(img, FilterParams(), mode)
     # The same image cut into bands does reach the pool.
@@ -367,6 +369,43 @@ def test_concurrent_callers_get_the_sequential_output(monkeypatch):
         for name in "ab":
             for pixels in results.pop(name):
                 assert np.array_equal(pixels, expected[mode]), (name, mode)
+
+
+def test_public_functions_run_on_the_calling_thread_only(monkeypatch):
+    # A per-call span recorder keeps one stack for the calling thread; band
+    # threads must run only private helpers, never these public functions.
+    public = ["load_pnm", "save_pnm", "filter_image", "compute_texture_map", "decompose",
+              "local_energy", "classify", "convolve", "window_mean"]
+    calls, band_threads = [], set()
+
+    def record(fn, seen):
+        def recorded(*args, **kwargs):
+            seen(fn.__name__)
+            return fn(*args, **kwargs)
+        return recorded
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("edgekeep")]:
+        for name in public:
+            fn = getattr(module, name, None)
+            if callable(fn):
+                monkeypatch.setattr(module, name, record(
+                    fn, lambda name: calls.append((name, threading.get_ident()))))
+        for private in ("_filter_band", "_taps_pass"):
+            if callable(fn := getattr(module, private, None)):
+                # The pause lets the pool thread take bands before the caller
+                # has worked through them all.
+                monkeypatch.setattr(module, private, record(
+                    fn, lambda name: (band_threads.add(threading.get_ident()),
+                                      time.sleep(0.001))))
+    monkeypatch.setattr(kernels, "_BAND_SAMPLES", 4 * 48)  # 1-4 rows per band
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    # Called through their modules, so that the recorders above are the ones run.
+    data = image.save_pnm(ImageBuffer(np.random.default_rng(20).random((40, 44))))
+    image.save_pnm(filters.filter_image(image.load_pnm(data), FilterParams(passes=2),
+                                        FilterMode.MULTILATERAL))
+    assert {name for name, _ in calls} == set(public)
+    assert {thread for _, thread in calls} == {threading.get_ident()}
+    assert len(band_threads) == 2  # the bands did run on the pool as well
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

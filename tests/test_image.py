@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgekeep.image import (
     BoundaryPolicy,
     ImageBuffer,
     MalformedHeaderError,
+    PnmError,
     TruncatedPayloadError,
     UnsupportedMaxvalError,
     load_pnm,
@@ -30,6 +33,15 @@ def test_buffer_validates_shape_and_range():
         ImageBuffer(np.full((2, 2), 1.5))
     with pytest.raises(ValueError):
         ImageBuffer(np.full((2, 2), -0.1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_buffer_rejects_nan_and_infinite_samples(bad):
+    for shape in ((3, 4), (3, 4, 3)):
+        pixels = np.full(shape, 0.5)
+        pixels[1, 2] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ImageBuffer(pixels)
 
 
 def test_buffer_is_immutable_and_copied():
@@ -148,6 +160,11 @@ def test_grayscale_identity_on_gray():
     assert np.array_equal(out.pixels, img.pixels)
 
 
+def test_grayscale_returns_a_gray_buffer_itself():
+    img = ImageBuffer(np.random.default_rng(0).random((5, 5)))
+    assert to_grayscale(img) is img
+
+
 def test_grayscale_weights():
     white = ImageBuffer(np.ones((1, 1, 3)))
     assert to_grayscale(white).pixels[0, 0] == 1.0
@@ -195,3 +212,41 @@ def test_sample_at_never_escapes_stored_array():
             y = int(rng.integers(-3 * h, 3 * h + 1))
             assert sample_at(img, (x, y), REPLICATE) == edge[y + pad, x + pad]
             assert sample_at(img, (x, y), MIRROR) == refl[y + pad, x + pad]
+
+
+# --- PNM fuzz ---
+
+_VALID_PNM = [
+    b"P5\n3 2\n255\n" + bytes(range(0, 60, 10)),
+    b"P6\n# two pixels\n2 1\n255\n" + bytes([255, 0, 0, 0, 128, 255]),
+    b"P5 2 2 65535 " + bytes(range(8)),
+]
+
+
+@st.composite
+def _mutated_pnm(draw):
+    """A valid PGM/PPM with some bytes replaced, inserted or deleted, or cut."""
+    data = bytearray(draw(st.sampled_from(_VALID_PNM)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(("replace", "insert", "delete", "truncate")))
+        byte = draw(st.sampled_from(b"P56 #\n0123456789-+.e\x00\xff"))
+        if edit == "replace" and at < len(data):
+            data[at] = byte
+        elif edit == "insert":
+            data.insert(at, byte)
+        elif edit == "delete" and at < len(data):
+            del data[at]
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_mutated_pnm())
+def test_mutated_pnm_loads_or_raises_pnm_error(data):
+    try:
+        img = load_pnm(data)
+    except PnmError:
+        return
+    assert isinstance(img, ImageBuffer)

@@ -132,7 +132,7 @@ def test_convolve_matches_brute_force_oracle():
 
 
 def test_convolve_and_window_mean_span_row_blocks():
-    # Wide enough that passes run in several blocks of rows, the last one short.
+    # Wide enough that each pass runs in more than one row band.
     field = np.random.default_rng(9).random((70, 1100))
     g, d = gaussian_derivative_taps(1.0, 3)
     ones = np.ones(5)

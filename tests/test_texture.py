@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from edgekeep import kernels
 from edgekeep.image import BoundaryPolicy, ImageBuffer, fold_index, load_pnm, save_pnm
 from edgekeep.kernels import convolve, gaussian_derivative_taps, window_mean
 from edgekeep.texture import (
     EXPORT_GRAY_LEVELS,
     ORIENTATIONS_DEG,
     TextureClass,
+    TextureMap,
     TextureParams,
     classify,
     compute_texture_map,
@@ -325,6 +327,41 @@ def test_texture_params_validation():
         TextureParams(complex_ratio=1.5)
 
 
+# --- row bands ---
+
+def _texture_stage(field, policy, sigma_g, window_radius):
+    """Every banded texture output: both kernels, the energies and the labels."""
+    params = TextureParams(energy_window_radius=window_radius)
+    g, d = gaussian_derivative_taps(sigma_g, steerable_radius(sigma_g))
+    basis = decompose(field, sigma_g, policy)
+    energies = local_energy(basis, window_radius, policy)
+    into = np.full(field.shape, np.nan)
+    mean = window_mean(field, window_radius, policy, out=into)
+    assert mean is into
+    return [convolve(field, d, g, policy), mean, *basis, energies,
+            classify(energies, params).labels,
+            compute_texture_map(ImageBuffer(field), params, sigma_g, policy).labels]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_texture_stage_is_bit_identical_to_one_band(data):
+    h, w = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 60))
+    field = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random((h, w))
+    stage = (field, data.draw(POLICIES), data.draw(st.sampled_from([0.5, 1.0, 1.5])),
+             data.draw(st.integers(1, 3)))
+    budget = data.draw(st.sampled_from([1, 50, 400]) | st.integers(1, 4 * 60 * 60))
+    workers = data.draw(st.integers(1, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BAND_SAMPLES", 1 << 62)
+        mp.setattr(kernels, "_WORKERS", 1)
+        expected = _texture_stage(*stage)
+        mp.setattr(kernels, "_BAND_SAMPLES", budget)  # 1: one row per band
+        mp.setattr(kernels, "_WORKERS", workers)
+        for got, want in zip(_texture_stage(*stage), expected, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 # --- texture distance and export ---
 
 def test_texture_distance_is_indicator():
@@ -337,9 +374,23 @@ def test_texture_factor_closed_form():
     assert math.exp(-0.5 * d * d / 1.0**2) == pytest.approx(0.6065306597126334)
 
 
+@pytest.mark.parametrize("bad", [-1, 300, 2.7])
+def test_texture_map_rejects_labels_outside_the_classes(bad):
+    labels = np.zeros((2, 3), dtype=np.asarray(bad).dtype)
+    labels[1, 2] = bad
+    with pytest.raises(ValueError, match="labels"):
+        TextureMap(labels)
+
+
+def test_texture_map_keeps_valid_labels_as_read_only_uint8():
+    for given_labels in ([[0, 1, 2], [3, 4, 5]], [[5.0, 0.0]], np.zeros((0, 4))):
+        tex = TextureMap(given_labels)
+        assert tex.labels.dtype == np.uint8 and not tex.labels.flags.writeable
+        assert np.array_equal(tex.labels, given_labels)
+
+
 def test_export_gray_levels():
     labels = np.array([[0, 1, 2], [3, 4, 5]], dtype=np.uint8)
-    from edgekeep.texture import TextureMap
     img = texture_map_image(TextureMap(labels=labels))
     data = save_pnm(img)
     assert load_pnm(data).pixels.shape == (2, 3)
