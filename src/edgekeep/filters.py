@@ -3,15 +3,14 @@
 The optimized engine cuts each pass into row bands of about
 kernels._BAND_SAMPLES padded channel-samples and runs them on the package's
 band threads (kernels._run_bands); within a band it walks window offsets with
-whole-band array slices. Every pixel sees the
-same operations in the same order whatever the band size or core count, so
-the output depends on neither. The oracle variant is a literal per-pixel
-transcription kept for equivalence testing. Every weight factor is symmetric
-in the pixel pair, so the engine computes one weight per unordered pair,
-w(x, x + d) == w(x + d, x), and applies it to all channels and to both ends
-of the pair. Each window is summed in mirror quads, {+d, -d} pairs whose
-total no horizontal or vertical flip changes, so flipped inputs produce
-exactly flipped outputs.
+whole-band array slices. Every pixel sees the same operations in the same
+order whatever the band size or core count, so the output depends on neither.
+The oracle variant is a literal per-pixel transcription kept for equivalence
+testing. Every weight factor is symmetric in the pixel pair, so the engine
+computes one weight per unordered pair, w(x, x + d) == w(x + d, x), and
+applies it to all channels and to both ends of the pair. Each window is
+summed in mirror quads, {+d, -d} pairs whose total no horizontal or vertical
+flip changes, so flipped inputs produce exactly flipped outputs.
 """
 
 from __future__ import annotations
@@ -243,17 +242,14 @@ def _filter_pass(work: np.ndarray, mode: FilterMode, params: FilterParams,
     padded = np.ascontiguousarray(np.moveaxis(pad_field(work, m, policy), -1, 0))
     padded_labels = None if labels is None else pad_field(labels, m, policy)
     weighted = mode is not FilterMode.AVERAGE
-    scratches: dict[int, _Scratch] = {}
     out = np.empty((c, h, w))
 
-    def band(y0: int, y1: int, worker: int) -> None:
-        if worker not in scratches:  # band heights differ by one row at most
-            scratches[worker] = _Scratch(c, y1 - y0 + 1, w, m)
+    def band(y0: int, y1: int, scratch: _Scratch) -> None:
         _filter_band(padded[:, y0:y1 + 2 * m],
                      None if padded_labels is None else padded_labels[y0:y1 + 2 * m],
-                     params, weighted, scratches[worker], out[:, y0:y1])
+                     params, weighted, scratch, out[:, y0:y1])
 
-    _run_bands(h, c * (w + 2 * m), band)
+    _run_bands(h, c * (w + 2 * m), band, lambda rows: _Scratch(c, rows, w, m))
     return np.moveaxis(out, 0, -1)
 
 

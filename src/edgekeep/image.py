@@ -60,7 +60,7 @@ class ImageBuffer:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.pixels, dtype=np.float64)
+        arr = np.array(self.pixels, dtype=np.float64, order="C")
         if not (arr.ndim == 2 or (arr.ndim == 3 and arr.shape[2] == 3)):
             raise ValueError(f"expected (h, w) or (h, w, 3) samples, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
