@@ -242,14 +242,19 @@ def _filter_pass(work: np.ndarray, mode: FilterMode, params: FilterParams,
     padded = np.ascontiguousarray(np.moveaxis(pad_field(work, m, policy), -1, 0))
     padded_labels = None if labels is None else pad_field(labels, m, policy)
     weighted = mode is not FilterMode.AVERAGE
+    scratches: dict[int, _Scratch] = {}
     out = np.empty((c, h, w))
 
-    def band(y0: int, y1: int, scratch: _Scratch) -> None:
+    def band(y0: int, y1: int, worker: int) -> None:
+        # Each thread makes its buffers itself, on its first band; band
+        # heights differ by one row at most.
+        if worker not in scratches:
+            scratches[worker] = _Scratch(c, y1 - y0 + 1, w, m)
         _filter_band(padded[:, y0:y1 + 2 * m],
                      None if padded_labels is None else padded_labels[y0:y1 + 2 * m],
-                     params, weighted, scratch, out[:, y0:y1])
+                     params, weighted, scratches[worker], out[:, y0:y1])
 
-    _run_bands(h, c * (w + 2 * m), band, lambda rows: _Scratch(c, rows, w, m))
+    _run_bands(h, c * (w + 2 * m), band)
     return np.moveaxis(out, 0, -1)
 
 

@@ -58,31 +58,30 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_bands(rows: int, row_samples: int, band, scratch=lambda rows: None) -> None:
-    """Call band(y0, y1, buffers) for balanced bands of about _BAND_SAMPLES
-    samples over `rows` rows of `row_samples`, on up to _WORKERS threads.
+def _run_bands(rows: int, row_samples: int, band) -> None:
+    """Call band(y0, y1, worker) for balanced bands (heights differ by one row
+    at most) of about _BAND_SAMPLES samples, over `rows` rows of `row_samples`.
 
-    Each thread passes its own `buffers`, which the calling thread makes as
-    scratch(rows of the tallest band); the calling thread works bands too, so
-    a single band runs on it alone. `band` must start no band run itself: the
-    pool threads would wait on one another's queued bands forever.
+    Up to _WORKERS threads pull bands from one iterator; the calling thread is
+    worker 0, so a single band runs on it alone. `band` must start no band run
+    itself: the pool threads would wait on one another's queued bands forever.
     """
     count = max(1, min(rows, -(-rows * row_samples // _BAND_SAMPLES)))
     bands = iter((rows * i // count, rows * (i + 1) // count) for i in range(count))
-    buffers = [scratch(-(-rows // count)) for _ in range(min(_WORKERS, count))]
     lock = threading.Lock()
 
-    def work_through_bands(own) -> None:
+    def work_through_bands(worker: int) -> None:
         while True:
             with lock:
                 bounds = next(bands, None)
             if bounds is None:
                 return
-            band(*bounds, own)
+            band(*bounds, worker)
 
-    futures = [_band_pool().submit(work_through_bands, own) for own in buffers[1:]]
+    futures = [_band_pool().submit(work_through_bands, i)
+               for i in range(1, min(_WORKERS, count))]
     try:
-        work_through_bands(buffers[0])
+        work_through_bands(0)
     finally:
         wait(futures)
     for future in futures:
@@ -151,7 +150,7 @@ def _separable(padded: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,
     """
     r = len(row_taps) // 2
 
-    def band(y0: int, y1: int, _) -> None:
+    def band(y0: int, y1: int, worker: int) -> None:
         rows = _taps_pass(padded[y0:y1 + 2 * r], row_taps, 1)
         _taps_pass(rows, col_taps, 0, out[y0:y1])
         if divisor != 1.0:

@@ -175,11 +175,11 @@ def local_energy(basis, window_radius: int = 2,
     # A, B and C go straight into the energy array, C into the E-45 plane,
     # which the tensor combination writes last.
     for a, b, plane in ((bx, bx, 0), (by, by, 1), (bx, by, 3)):
-        _run_bands(*bx.shape, lambda y0, y1, _, a=a, b=b:
+        _run_bands(*bx.shape, lambda y0, y1, worker, a=a, b=b:
                    np.multiply(a[y0:y1], b[y0:y1], out=product[y0:y1]))
         window_mean(product, window_radius, policy, out=energies[plane])
 
-    def combine(y0: int, y1: int, _) -> None:
+    def combine(y0: int, y1: int, worker: int) -> None:
         e = energies[:, y0:y1]
         half_trace = np.add(e[0], e[1], out=product[y0:y1])
         half_trace *= 0.5
@@ -213,7 +213,7 @@ def classify(energies: np.ndarray, params: TextureParams | None = None) -> Textu
                         _ADAPTIVE_THRESHOLD_FLOOR)
     labels = np.empty(e.shape[1:], dtype=np.uint8)
 
-    def sweep(y0: int, y1: int, _) -> None:
+    def sweep(y0: int, y1: int, worker: int) -> None:
         bands, band_labels = e[:, y0:y1], labels[y0:y1]
         largest = bands[0].copy()
         second = np.full_like(largest, -np.inf)
