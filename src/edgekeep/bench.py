@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 from .filters import FilterMode, FilterParams, filter_image
 from .image import ImageBuffer
-from .metrics import edge_preserving_exponent, evaluate_pair
+from .metrics import evaluate_pair
 from .noise import NoiseSpec, add_noise
 from .synth import step_edge, two_texture
+from .texture import TextureMap, compute_texture_map
 
 #: Two-pass parameters used for every bench cell. sigma_r must stay
 #: comparable to the impulse amplitude: far below it the range term alone
@@ -89,32 +90,24 @@ def _density_cell(img: ImageBuffer, density: float, base_seed: int) -> list[Benc
     spec = NoiseSpec(kind="salt-pepper", density=density,
                      seed=cell_seed(base_seed, f"density/{density:g}"))
     noisy = add_noise(img, spec)
-    bi, multi = _both_filters(noisy)
     param = f"{density:g}"
-    rows = []
-    ratios = {}
-    for direction in ("horizontal", "vertical"):
-        ep_bi = edge_preserving_exponent(noisy, bi, direction)
-        ep_multi = edge_preserving_exponent(noisy, multi, direction)
-        ratio = None
-        if ep_bi not in (None, 0.0) and ep_multi is not None:
-            ratio = ep_multi / ep_bi
-        ratios[direction] = ratio
-    for label, out in (("bilateral", bi), ("multilateral", multi)):
-        report = evaluate_pair(noisy, out)
-        rows.append(BenchRow("two-texture", "salt-pepper", param, label,
-                             report.snr_db, report.ep_horizontal, report.ep_vertical))
-    rows.append(BenchRow("two-texture", "salt-pepper", param, "ratio-multi-bi",
-                         None, ratios["horizontal"], ratios["vertical"]))
+    reports = [evaluate_pair(noisy, out) for out in _both_filters(noisy)]
+    rows = [BenchRow("two-texture", "salt-pepper", param, label,
+                     report.snr_db, report.ep_horizontal, report.ep_vertical)
+            for label, report in zip(("bilateral", "multilateral"), reports)]
+    bi, multi = rows
+    ratios = [None if b in (None, 0.0) or m is None else m / b
+              for b, m in ((bi.ep_h, multi.ep_h), (bi.ep_v, multi.ep_v))]
+    rows.append(BenchRow("two-texture", "salt-pepper", param, "ratio-multi-bi", None, *ratios))
     return rows
 
 
-def _sigma_t_cell(noisy: ImageBuffer, sigma_t: float) -> list[BenchRow]:
+def _sigma_t_cell(noisy: ImageBuffer, texture: TextureMap, sigma_t: float) -> list[BenchRow]:
     params = FilterParams(window_radius=BENCH_FILTER_PARAMS.window_radius,
                           sigma_d=BENCH_FILTER_PARAMS.sigma_d,
                           sigma_r=BENCH_FILTER_PARAMS.sigma_r,
                           sigma_t=sigma_t, passes=BENCH_FILTER_PARAMS.passes)
-    out = filter_image(noisy, params, FilterMode.MULTILATERAL)
+    out = filter_image(noisy, params, FilterMode.MULTILATERAL, texture=texture)
     report = evaluate_pair(noisy, out)
     return [BenchRow("two-texture", "salt-pepper", f"{sigma_t:g}", "multilateral",
                      report.snr_db, report.ep_horizontal, report.ep_vertical)]
@@ -140,7 +133,9 @@ def run_bench(images: list[tuple[str, ImageBuffer]] | None = None,
     comparison = [row for name, img in images for kind in ("salt-pepper", "gaussian")
                   for row in _comparison_cell(name, img, kind, base_seed)]
     density = [row for d in DENSITY_SWEEP for row in _density_cell(sweep_img, d, base_seed)]
-    sigma_t = [row for s in SIGMA_T_SWEEP for row in _sigma_t_cell(sigma_t_noisy, s)]
+    # Every sigma_t cell's first pass classifies the same noisy image.
+    texture = compute_texture_map(sigma_t_noisy)
+    sigma_t = [row for s in SIGMA_T_SWEEP for row in _sigma_t_cell(sigma_t_noisy, texture, s)]
     return BenchReport(comparison=tuple(comparison), density_sweep=tuple(density),
                        sigma_t_sweep=tuple(sigma_t))
 

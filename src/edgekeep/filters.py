@@ -10,7 +10,8 @@ testing. Every weight factor is symmetric in the pixel pair, so the engine
 computes one weight per unordered pair, w(x, x + d) == w(x + d, x), and
 applies it to all channels and to both ends of the pair. Each window is
 summed in mirror quads, {+d, -d} pairs whose total no horizontal or vertical
-flip changes, so flipped inputs produce exactly flipped outputs.
+flip changes, so flipped inputs produce exactly flipped outputs. A weight is
+one exp of its summed exponents, floored at -700 where exp would slow.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .image import BoundaryPolicy, ImageBuffer, fold_index, pad_field, sample_at
+from .image import BoundaryPolicy, ImageBuffer, check_count, fold_index, pad_field, sample_at
 from .kernels import _run_bands
 from .texture import (
     DEFAULT_SIGMA_G,
@@ -53,8 +54,8 @@ class FilterParams:
     passes: int = 1
 
     def __post_init__(self):
-        if self.window_radius < 1:
-            raise ValueError(f"window_radius must be >= 1, got {self.window_radius}")
+        for name in ("window_radius", "passes"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
         for name in ("sigma_d", "sigma_r", "sigma_t"):
             value = getattr(self, name)
             if not value > 0.0:
@@ -66,8 +67,6 @@ class FilterParams:
             if math.isfinite(value) and not (square > 0.0 and 0.0 < 0.5 / square < math.inf):
                 raise ValueError(f"{name} is out of range, got {value}: its square and "
                                  f"the square's inverse must be finite and nonzero")
-        if self.passes < 1:
-            raise ValueError(f"passes must be >= 1, got {self.passes}")
 
 
 def weight_bilateral(x, xi, img: ImageBuffer, params: FilterParams,
@@ -153,9 +152,9 @@ def _filter_band(band: np.ndarray, band_labels: np.ndarray | None, params: Filte
     take = _Scratch.take
     neg_inv_2sr2 = -0.5 / (params.sigma_r ** 2)
     inv_2sd2 = 0.5 / (params.sigma_d ** 2)
-    if band_labels is not None:
-        # Indicator distance is 0/1, so the factor takes only two values.
-        cross_factor = math.exp(-0.5 / (params.sigma_t ** 2))
+    neg_inv_2st2 = -0.5 / (params.sigma_t ** 2)  # where labels differ, else 0
+    # The lowest range and texture exponent of any pair: samples lie in [0, 1].
+    lowest = c * neg_inv_2sr2 + (0.0 if band_labels is None else neg_inv_2st2)
 
     def pair_sums(di: int, dj: int, num: np.ndarray, den: np.ndarray):
         """Numerator and denominator sums of offsets +d and -d, d = (di, dj) forward.
@@ -183,19 +182,20 @@ def _filter_band(band: np.ndarray, band_labels: np.ndarray | None, params: Filte
         for plane in diff[1:]:
             weight += np.square(plane, out=take(scratch.square, *centres))
         np.multiply(weight, neg_inv_2sr2, out=weight)
-        weight -= (di * di + dj * dj) * inv_2sd2
-        np.exp(weight, out=weight)
+        spatial = (di * di + dj * dj) * inv_2sd2
+        weight -= spatial
         if band_labels is not None:
-            # factor = cross_factor where the labels differ, else exactly 1,
-            # as differs*cf + (not differs): no masked multiply, and no
-            # 1 + (cf - 1)*u, which rounds cf - 1 to -1 for a tiny cf.
             differs = take(scratch.differs, *centres)
             np.not_equal(band_labels[rows_d, cols_d], band_labels[rows, cols], out=differs)
-            factor = np.multiply(differs.view(np.uint8), cross_factor,
-                                 out=take(scratch.square, *centres))
-            np.logical_not(differs, out=differs)
-            factor += differs.view(np.uint8)
-            weight *= factor
+            cross = take(scratch.square, *centres)
+            np.copyto(cross, differs)
+            cross *= neg_inv_2st2
+            weight += cross
+        # exp is tenfold slower and more near underflow; raising a weight to
+        # e^-700 (about 1e-304) moves an output by at most that per neighbour.
+        if lowest - spatial < -700.0:
+            np.maximum(weight, -700.0, out=weight)
+        np.exp(weight, out=weight)
         diff *= weight
         np.subtract(diff[fwd], diff[bwd], out=num)
         return np.add(weight[fwd], weight[bwd], out=den)

@@ -7,6 +7,7 @@ Samples are kept as float64 in [0, 1] for the whole pipeline; quantization to
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -105,6 +106,15 @@ def sample_at(img: ImageBuffer, xy, policy: BoundaryPolicy = BoundaryPolicy.REPL
     row = fold_index(int(y), img.height, policy)
     value = img.pixels[row, col]
     return float(value) if img.channels == 1 else value
+
+
+def check_count(name: str, value) -> int:
+    """`value` as an int; a ValueError naming `name` unless an integer >= 1."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def pad_field(field: np.ndarray, radius: int, policy: BoundaryPolicy) -> np.ndarray:

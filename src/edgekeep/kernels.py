@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .image import BoundaryPolicy, ImageBuffer, pad_field
+from .image import BoundaryPolicy, ImageBuffer, check_count, pad_field
 
 #: Samples per row band (512 KiB of float64): enough numpy work per band to
 #: outweigh the Python between calls, which holds the GIL, and few enough for
@@ -63,10 +63,13 @@ def _run_bands(rows: int, row_samples: int, band) -> None:
     at most) of about _BAND_SAMPLES samples, over `rows` rows of `row_samples`.
 
     Up to _WORKERS threads pull bands from one iterator; the calling thread is
-    worker 0, so a single band runs on it alone. `band` must start no band run
-    itself: the pool threads would wait on one another's queued bands forever.
+    worker 0, and runs a single band alone, with no lock or pool. `band` must
+    start no band run itself: the pool threads would wait on one another's
+    queued bands forever.
     """
     count = max(1, min(rows, -(-rows * row_samples // _BAND_SAMPLES)))
+    if count == 1:
+        return band(0, rows, 0)
     bands = iter((rows * i // count, rows * (i + 1) // count) for i in range(count))
     lock = threading.Lock()
 
@@ -97,8 +100,7 @@ def gaussian_derivative_taps(sigma: float, radius: int) -> tuple[np.ndarray, np.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
+    radius = check_count("radius", radius)
     u = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-(u * u) / (2.0 * sigma * sigma))
     d = -u / (sigma * sigma) * g
@@ -194,8 +196,7 @@ def window_mean(field: np.ndarray, radius: int,
     A direct sum, rows then columns, with mirror-paired samples; no running
     or summed-area sums, whose cancellation drifts.
     """
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
+    radius = check_count("radius", radius)
     field = np.asarray(field, dtype=np.float64)
     side = 2 * radius + 1
     ones = np.ones(side)

@@ -8,14 +8,14 @@ tensor A = W[bx^2], B = W[by^2], C = W[bx*by] (Freeman & Adelson 1991). The
 four energies are E0 = A, E90 = B and E+/-45 = (A + B)/2 +/- C: three window
 means instead of four, and no steered bands. decompose returns the pair,
 local_energy its four energies, and steer the bands themselves, which only
-tests and inspection build. A three-rule cascade turns the energies into one
-of six texture classes. The resulting label map feeds the
-multilateral filter's texture-similarity weight.
+tests and inspection build. A pairwise tournament and a three-rule cascade
+turn the energies into one of six texture classes. The resulting label map
+feeds the multilateral filter's texture-similarity weight.
 
-The kernels, tensor products and combination, and the label sweep run in
+The kernels, tensor products and combination, and the label tournament run in
 row bands on the filter's band threads (see kernels); the public functions
-themselves run on the calling thread. classify takes its checks and the
-adaptive threshold over the whole array, so neither depends on the bands.
+themselves run on the calling thread. classify takes the adaptive threshold
+over the whole array, so it does not depend on the bands.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .image import BoundaryPolicy, ImageBuffer, to_grayscale
+from .image import BoundaryPolicy, ImageBuffer, check_count, to_grayscale
 from .kernels import _run_bands, convolve, gaussian_derivative_taps, window_mean
 
 #: Sub-band orientations in their fixed order (degrees).
@@ -95,9 +95,8 @@ class TextureParams:
     complex_ratio: float = 0.8
 
     def __post_init__(self):
-        if self.energy_window_radius < 1:
-            raise ValueError(
-                f"energy_window_radius must be >= 1, got {self.energy_window_radius}")
+        object.__setattr__(self, "energy_window_radius",
+                           check_count("energy_window_radius", self.energy_window_radius))
         if self.smooth_threshold is not None and not self.smooth_threshold >= 0.0:
             raise ValueError(f"smooth_threshold must be >= 0, got {self.smooth_threshold}")
         if not 0.0 < self.complex_ratio <= 1.0:
@@ -167,8 +166,7 @@ def local_energy(basis, window_radius: int = 2,
     exactly, so C changes sign exactly and the flipped energies are exact,
     with E45 and E-45 swapped.
     """
-    if window_radius < 1:
-        raise ValueError(f"window_radius must be >= 1, got {window_radius}")
+    window_radius = check_count("window_radius", window_radius)
     bx, by = basis
     energies = np.empty((len(ORIENTATIONS_DEG),) + bx.shape)
     product = np.empty(bx.shape)
@@ -197,38 +195,44 @@ def classify(energies: np.ndarray, params: TextureParams | None = None) -> Textu
     Rules apply in precedence order: all four energies below the smooth
     threshold -> smooth; second-largest energy >= complex_ratio * largest ->
     complex; otherwise the orientation of the largest energy, ties resolved
-    by the fixed orientation order. One sweep over the bands keeps the
-    running largest and second-largest energies; a later band takes the
-    label only when strictly larger, so the first orientation wins ties.
+    by the fixed orientation order. A pairwise tournament of bands (0, 1)
+    and (2, 3) gives the largest, the second largest and the first-wins
+    orientation.
     """
     params = params or TextureParams()
     e = np.asarray(energies, dtype=np.float64)
     if e.ndim != 3 or e.shape[0] != len(ORIENTATIONS_DEG):
         raise ValueError(f"expected ({len(ORIENTATIONS_DEG)}, h, w) energies, got {e.shape}")
-    if e.size and not e.min() >= 0.0:
-        raise ValueError("energies must be nonnegative")
+    labels = np.empty(e.shape[1:], dtype=np.uint8)
+    if not labels.size:
+        return TextureMap(labels)
     threshold = params.smooth_threshold
     if threshold is None:
         threshold = max(ADAPTIVE_THRESHOLD_FRACTION * float(e.mean()),
                         _ADAPTIVE_THRESHOLD_FLOOR)
-    labels = np.empty(e.shape[1:], dtype=np.uint8)
 
-    def sweep(y0: int, y1: int, worker: int) -> None:
-        bands, band_labels = e[:, y0:y1], labels[y0:y1]
-        largest = bands[0].copy()
-        second = np.full_like(largest, -np.inf)
-        band_labels.fill(int(TextureClass.ORIENT_0))
-        smaller = np.empty_like(largest)
-        for k, band in enumerate(bands[1:], start=1):
-            np.copyto(band_labels, int(TextureClass.ORIENT_0) + k, where=band > largest)
-            # The new second is the larger of the old second and whichever of
-            # (band, old largest) the new largest does not take.
-            np.maximum(second, np.minimum(band, largest, out=smaller), out=second)
-            np.maximum(largest, band, out=largest)
-        band_labels[second >= params.complex_ratio * largest] = int(TextureClass.COMPLEX)
-        band_labels[largest < threshold] = int(TextureClass.SMOOTH)
+    def tournament(y0: int, y1: int, worker: int) -> None:
+        e0, e1, e2, e3 = e[:, y0:y1]
+        band_labels = labels[y0:y1]
+        hi01, lo01 = np.maximum(e0, e1), np.minimum(e0, e1)
+        hi23, lo23 = np.maximum(e2, e3), np.minimum(e2, e3)
+        # Every sample reaches lo01 or lo23, NaN included, and min is exact
+        # in any order: this is the whole-array check.
+        if not np.minimum(lo01, lo23).min() >= 0.0:
+            raise ValueError("energies must be nonnegative")
+        later = np.greater(hi23, hi01)
+        largest = np.maximum(hi01, hi23)
+        second = np.maximum(np.minimum(hi01, hi23, out=hi01),
+                            np.maximum(lo01, lo23, out=lo01), out=hi01)
+        # The first-wins argmax, 0-3: a later band wins only when larger.
+        np.greater(e1, e0, out=band_labels)
+        np.copyto(band_labels, np.greater(e3, e2).view(np.uint8) + 2, where=later)
+        band_labels += int(TextureClass.ORIENT_0)
+        np.copyto(band_labels, int(TextureClass.COMPLEX),
+                  where=second >= np.multiply(largest, params.complex_ratio, out=lo23))
+        np.copyto(band_labels, int(TextureClass.SMOOTH), where=largest < threshold)
 
-    _run_bands(e.shape[1], e.shape[0] * e.shape[2], sweep)
+    _run_bands(e.shape[1], e.shape[0] * e.shape[2], tournament)
     return TextureMap(labels)
 
 

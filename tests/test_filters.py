@@ -22,7 +22,7 @@ from edgekeep.filters import (
     weight_multilateral,
 )
 from edgekeep.image import BoundaryPolicy, ImageBuffer
-from edgekeep.texture import TextureMap, compute_texture_map
+from edgekeep.texture import TextureMap, TextureParams, compute_texture_map
 
 REPLICATE = BoundaryPolicy.REPLICATE
 MIRROR = BoundaryPolicy.MIRROR
@@ -133,6 +133,29 @@ def test_filter_params_validation_messages():
                 FilterParams(**{name: value})
     FilterParams(sigma_d=math.inf, sigma_r=math.inf, sigma_t=math.inf)
     FilterParams(sigma_d=1e9, sigma_r=1e9, sigma_t=1e6)
+
+
+_COUNTS = {
+    "window_radius": lambda v: FilterParams(window_radius=v),
+    "passes": lambda v: FilterParams(passes=v),
+    "energy_window_radius": lambda v: TextureParams(energy_window_radius=v),
+    "radius": lambda v: kernels.window_mean(np.zeros((3, 3)), v),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_radii_and_pass_counts_must_be_integers(name):
+    for bad in (1.5, 2.5, 2.0, np.float64(2.0), "2", None):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            _COUNTS[name](bad)
+    for good in (2, np.int64(2), np.uint8(2), np.int32(1)):
+        _COUNTS[name](good)
+
+
+def test_numpy_integer_counts_are_kept_as_python_ints():
+    # A uint8 radius would wrap in the band arithmetic.
+    params = FilterParams(window_radius=np.uint8(200), passes=np.int64(3))
+    assert type(params.window_radius) is int and type(params.passes) is int
 
 
 # --- filter identities and limits ---
@@ -470,6 +493,21 @@ def test_engine_matches_oracle_window_larger_than_image():
                 fast = filter_image(img, params, mode, policy)
                 slow = filter_oracle(img, params, mode, policy)
                 assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12, (shape, policy, mode)
+
+
+@pytest.mark.parametrize("policy", [REPLICATE, MIRROR])
+@pytest.mark.parametrize("shape, mode, params", [
+    ((13, 17, 3), FilterMode.BILATERAL, FilterParams(sigma_r=0.01)),
+    ((15, 19), FilterMode.MULTILATERAL, FilterParams(sigma_t=0.02)),
+    ((15, 19), FilterMode.MULTILATERAL, FilterParams(sigma_t=0.05)),
+], ids=["rgb-bilateral-sigma_r-0.01", "multilateral-sigma_t-0.02", "multilateral-sigma_t-0.05"])
+def test_engine_matches_oracle_where_exp_underflows(monkeypatch, shape, mode, params, policy):
+    # Many weights here lie below e^-700 or underflow to 0 in the oracle.
+    img = ImageBuffer(np.random.default_rng(18).random(shape))
+    _use_bands(monkeypatch, img, params.window_radius, 3, 2)
+    fast = filter_image(img, params, mode, policy)
+    slow = filter_oracle(img, params, mode, policy)
+    assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12
 
 
 def test_oracle_constant_identity_within_rounding():

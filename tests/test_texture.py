@@ -1,6 +1,7 @@
 """Steerable decomposition, local energy, and texture classification tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,27 @@ def test_energy_field_rejects_negative():
     bad[0, 0, 0] = -1.0
     with pytest.raises(ValueError, match="nonnegative"):
         classify(bad, TextureParams(smooth_threshold=0.5))
+
+
+def test_classify_empty_stack_warns_nothing():
+    for shape in ((4, 0, 5), (4, 3, 0), (4, 0, 0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tex = classify(np.zeros(shape))
+        assert tex.shape == shape[1:] and tex.labels.dtype == np.uint8
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("bad", [-1e-300, -math.inf, math.nan])
+def test_classify_finds_a_bad_energy_in_the_last_band(monkeypatch, bad, workers):
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    for rows_per_band in (1, 2, 3, 7):
+        monkeypatch.setattr(kernels, "_BAND_SAMPLES", rows_per_band * 4 * 5)
+        for plane in range(4):
+            energies = np.ones((4, 7, 5))
+            energies[plane, -1, -1] = bad
+            with pytest.raises(ValueError, match="nonnegative"):
+                classify(energies)
 
 
 # --- structure-tensor energies ---
