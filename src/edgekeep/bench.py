@@ -15,10 +15,10 @@ byte-identical reports.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .filters import FilterMode, FilterParams, filter_image
-from .image import ImageBuffer
+from .image import ImageBuffer, check_count
 from .metrics import evaluate_pair
 from .noise import NoiseSpec, add_noise
 from .synth import step_edge, two_texture
@@ -64,37 +64,35 @@ def default_images() -> list[tuple[str, ImageBuffer]]:
 
 
 def cell_seed(base_seed: int, label: str) -> int:
-    """Stable per-cell seed derivation, independent of cell ordering."""
+    """Stable per-cell seed derivation from any integer base_seed, independent
+    of cell ordering."""
+    base_seed = check_count("base_seed", base_seed, minimum=None)
     return (base_seed ^ zlib.crc32(label.encode())) & 0xFFFFFFFFFFFFFFFF
 
 
-def _both_filters(noisy: ImageBuffer) -> tuple[ImageBuffer, ImageBuffer]:
-    bi = filter_image(noisy, BENCH_FILTER_PARAMS, FilterMode.BILATERAL)
-    multi = filter_image(noisy, BENCH_FILTER_PARAMS, FilterMode.MULTILATERAL)
-    return bi, multi
+def _row(image: str, noise: str, param: str, label: str, report) -> BenchRow:
+    return BenchRow(image, noise, param, label, report.snr_db,
+                    report.ep_horizontal, report.ep_vertical)
+
+
+def _both_filters(name: str, img: ImageBuffer, spec: NoiseSpec, param: str) -> list[BenchRow]:
+    """Noise from spec, then a bilateral and a multilateral row on the noisy image."""
+    noisy = add_noise(img, spec)
+    return [_row(name, spec.kind, param, mode.value,
+                 evaluate_pair(noisy, filter_image(noisy, BENCH_FILTER_PARAMS, mode)))
+            for mode in (FilterMode.BILATERAL, FilterMode.MULTILATERAL)]
 
 
 def _comparison_cell(name: str, img: ImageBuffer, kind: str, base_seed: int) -> list[BenchRow]:
     spec = NoiseSpec(kind=kind, seed=cell_seed(base_seed, f"comparison/{name}/{kind}"))
-    noisy = add_noise(img, spec)
-    bi, multi = _both_filters(noisy)
-    rows = []
-    for label, out in (("bilateral", bi), ("multilateral", multi)):
-        report = evaluate_pair(noisy, out)
-        rows.append(BenchRow(name, kind, "", label, report.snr_db,
-                             report.ep_horizontal, report.ep_vertical))
-    return rows
+    return _both_filters(name, img, spec, "")
 
 
 def _density_cell(img: ImageBuffer, density: float, base_seed: int) -> list[BenchRow]:
-    spec = NoiseSpec(kind="salt-pepper", density=density,
-                     seed=cell_seed(base_seed, f"density/{density:g}"))
-    noisy = add_noise(img, spec)
     param = f"{density:g}"
-    reports = [evaluate_pair(noisy, out) for out in _both_filters(noisy)]
-    rows = [BenchRow("two-texture", "salt-pepper", param, label,
-                     report.snr_db, report.ep_horizontal, report.ep_vertical)
-            for label, report in zip(("bilateral", "multilateral"), reports)]
+    spec = NoiseSpec(kind="salt-pepper", density=density,
+                     seed=cell_seed(base_seed, f"density/{param}"))
+    rows = _both_filters("two-texture", img, spec, param)
     bi, multi = rows
     ratios = [None if b in (None, 0.0) or m is None else m / b
               for b, m in ((bi.ep_h, multi.ep_h), (bi.ep_v, multi.ep_v))]
@@ -103,14 +101,10 @@ def _density_cell(img: ImageBuffer, density: float, base_seed: int) -> list[Benc
 
 
 def _sigma_t_cell(noisy: ImageBuffer, texture: TextureMap, sigma_t: float) -> list[BenchRow]:
-    params = FilterParams(window_radius=BENCH_FILTER_PARAMS.window_radius,
-                          sigma_d=BENCH_FILTER_PARAMS.sigma_d,
-                          sigma_r=BENCH_FILTER_PARAMS.sigma_r,
-                          sigma_t=sigma_t, passes=BENCH_FILTER_PARAMS.passes)
+    params = replace(BENCH_FILTER_PARAMS, sigma_t=sigma_t)
     out = filter_image(noisy, params, FilterMode.MULTILATERAL, texture=texture)
-    report = evaluate_pair(noisy, out)
-    return [BenchRow("two-texture", "salt-pepper", f"{sigma_t:g}", "multilateral",
-                     report.snr_db, report.ep_horizontal, report.ep_vertical)]
+    return [_row("two-texture", "salt-pepper", f"{sigma_t:g}", "multilateral",
+                 evaluate_pair(noisy, out))]
 
 
 def run_bench(images: list[tuple[str, ImageBuffer]] | None = None,

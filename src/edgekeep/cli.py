@@ -26,7 +26,6 @@ from .noise import NoiseSpec, add_noise
 from .texture import (
     DEFAULT_SIGMA_G,
     TextureParams,
-    check_sigma_g,
     compute_texture_map,
     steerable_radius,
     texture_map_image,
@@ -174,14 +173,12 @@ def cmd_filter(args, values: dict) -> int:
         raise ValueError(f"passes must be <= {PASSES_LIMIT}, got {values['passes']:.6g}")
     params = _construct(FilterParams, values)
     texture_params = _construct(TextureParams, values)
-    _construct(check_sigma_g, values)
     img = _read_image(args.input)
     texture_radii = _TEXTURE_RADII if mode is FilterMode.MULTILATERAL else ()
     _check_radii(img, values, ("radius",) + texture_radii)
     _echo_config(values)
     start = time.perf_counter()
-    out = filter_image(img, params, mode, texture_params=texture_params,
-                       sigma_g=values["sigma-g"])
+    out = filter_image(img, params, mode, texture_params=texture_params)
     elapsed = time.perf_counter() - start
     print(f"filtered {img.width}x{img.height} in {elapsed:.3f}s "
           f"({elapsed / params.passes:.3f}s/pass)", file=sys.stderr)
@@ -191,12 +188,11 @@ def cmd_filter(args, values: dict) -> int:
 
 def cmd_texture(args, values: dict) -> int:
     texture_params = _construct(TextureParams, values)
-    _construct(check_sigma_g, values)
     img = _read_image(args.input)
     _check_radii(img, values, _TEXTURE_RADII)
     _echo_config(values)
     start = time.perf_counter()
-    tex = compute_texture_map(img, texture_params, values["sigma-g"])
+    tex = compute_texture_map(img, texture_params)
     elapsed = time.perf_counter() - start
     print(f"classified {img.width}x{img.height} in {elapsed:.3f}s", file=sys.stderr)
     Path(args.output).write_bytes(save_pnm(texture_map_image(tex)))

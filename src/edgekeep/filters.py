@@ -22,15 +22,17 @@ from enum import Enum
 
 import numpy as np
 
-from .image import BoundaryPolicy, ImageBuffer, check_count, fold_index, pad_field, sample_at
-from .kernels import _run_bands
-from .texture import (
-    DEFAULT_SIGMA_G,
-    TextureMap,
-    TextureParams,
-    compute_texture_map,
-    texture_distance,
+from .image import (
+    BoundaryPolicy,
+    ImageBuffer,
+    check_count,
+    check_sigma,
+    fold_index,
+    pad_field,
+    sample_at,
 )
+from .kernels import _run_bands
+from .texture import TextureMap, TextureParams, compute_texture_map, texture_distance
 
 
 class FilterMode(Enum):
@@ -44,7 +46,8 @@ class FilterParams:
     """Window radius, the three weight scales, and the pass count.
 
     sigma_d is in pixels, sigma_r in intensity units (images live in [0, 1]),
-    sigma_t is dimensionless and only read in multilateral mode.
+    sigma_t is dimensionless and only read in multilateral mode. A sigma may
+    be inf, the limit where its factor becomes 1.
     """
 
     window_radius: int = 2
@@ -57,16 +60,7 @@ class FilterParams:
         for name in ("window_radius", "passes"):
             object.__setattr__(self, name, check_count(name, getattr(self, name)))
         for name in ("sigma_d", "sigma_r", "sigma_t"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            # The weights divide by sigma**2: a finite sigma whose square
-            # underflows to 0 or overflows has no usable inverse. inf is the
-            # documented limit (that factor becomes 1) and stays accepted.
-            square = value * value
-            if math.isfinite(value) and not (square > 0.0 and 0.0 < 0.5 / square < math.inf):
-                raise ValueError(f"{name} is out of range, got {value}: its square and "
-                                 f"the square's inverse must be finite and nonzero")
+            check_sigma(name, getattr(self, name))
 
 
 def weight_bilateral(x, xi, img: ImageBuffer, params: FilterParams,
@@ -107,14 +101,14 @@ def weight_multilateral(x, xi, img: ImageBuffer, tex: TextureMap, params: Filter
 
 
 def _resolve_texture(current: ImageBuffer, pass_index: int, supplied: TextureMap | None,
-                     texture_params: TextureParams | None, sigma_g: float,
+                     texture_params: TextureParams | None,
                      policy: BoundaryPolicy) -> TextureMap:
     # A caller-supplied map covers the first pass; later passes reclassify
     # the pass input.
     if pass_index == 0 and supplied is not None:
         tex = supplied
     else:
-        tex = compute_texture_map(current, texture_params, sigma_g, policy)
+        tex = compute_texture_map(current, texture_params, policy)
     if tex.shape != (current.height, current.width):
         raise ValueError(
             f"texture map shape {tex.shape} does not match image "
@@ -262,15 +256,15 @@ def filter_image(img: ImageBuffer, params: FilterParams | None = None,
                  mode: FilterMode | str = FilterMode.BILATERAL,
                  policy: BoundaryPolicy = BoundaryPolicy.REPLICATE,
                  texture: TextureMap | None = None, *,
-                 texture_params: TextureParams | None = None,
-                 sigma_g: float = DEFAULT_SIGMA_G) -> ImageBuffer:
+                 texture_params: TextureParams | None = None) -> ImageBuffer:
     """Run the selected filter for params.passes passes.
 
     Multilateral mode classifies texture from the grayscale of each pass's
-    input; a caller-supplied map is honored for the first pass only. Average
-    mode ignores all sigmas and returns the plain window mean. Output samples
-    are clamped to [0, 1] after each pass (a no-op in exact arithmetic, since
-    each output pixel is a convex combination of window samples).
+    input with texture_params, base scale sigma_g included; a caller-supplied
+    map is honored for the first pass only. Average mode ignores all sigmas
+    and returns the plain window mean. Output samples are clamped to [0, 1]
+    after each pass (a no-op in exact arithmetic, since each output pixel is
+    a convex combination of window samples).
     """
     params = params or FilterParams()
     mode = FilterMode(mode)
@@ -279,8 +273,7 @@ def filter_image(img: ImageBuffer, params: FilterParams | None = None,
     for pass_index in range(params.passes):
         labels = None
         if mode is FilterMode.MULTILATERAL:
-            tex = _resolve_texture(current, pass_index, texture, texture_params,
-                                   sigma_g, policy)
+            tex = _resolve_texture(current, pass_index, texture, texture_params, policy)
             labels = tex.labels
         gray = current.channels == 1
         work = current.pixels[:, :, np.newaxis] if gray else current.pixels
@@ -293,8 +286,7 @@ def filter_oracle(img: ImageBuffer, params: FilterParams | None = None,
                   mode: FilterMode | str = FilterMode.BILATERAL,
                   policy: BoundaryPolicy = BoundaryPolicy.REPLICATE,
                   texture: TextureMap | None = None, *,
-                  texture_params: TextureParams | None = None,
-                  sigma_g: float = DEFAULT_SIGMA_G) -> ImageBuffer:
+                  texture_params: TextureParams | None = None) -> ImageBuffer:
     """Literal nested-loop transcription of the filter; test oracle only.
 
     Walks every pixel and window member, evaluating the per-pair weight
@@ -309,8 +301,7 @@ def filter_oracle(img: ImageBuffer, params: FilterParams | None = None,
     for pass_index in range(params.passes):
         tex = None
         if mode is FilterMode.MULTILATERAL:
-            tex = _resolve_texture(current, pass_index, texture, texture_params,
-                                   sigma_g, policy)
+            tex = _resolve_texture(current, pass_index, texture, texture_params, policy)
         h, w, c = current.height, current.width, current.channels
         out = np.zeros((h, w) if c == 1 else (h, w, 3))
         for y in range(h):

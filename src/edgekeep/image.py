@@ -7,6 +7,7 @@ Samples are kept as float64 in [0, 1] for the whole pipeline; quantization to
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -108,13 +109,30 @@ def sample_at(img: ImageBuffer, xy, policy: BoundaryPolicy = BoundaryPolicy.REPL
     return float(value) if img.channels == 1 else value
 
 
-def check_count(name: str, value) -> int:
-    """`value` as an int; a ValueError naming `name` unless an integer >= 1."""
+def check_count(name: str, value, minimum: int | None = 1) -> int:
+    """`value` as an int; a ValueError naming `name` unless an integer >= minimum
+    (any integer if None)."""
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_sigma(name: str, value, finite: bool = False) -> None:
+    """A ValueError naming `name` unless `value` is a usable Gaussian scale.
+
+    Weights and taps divide by value**2, so a finite value must be positive
+    with a square and an inverse square that are finite and nonzero. inf is
+    the limit where the factor becomes 1; `finite` rejects it.
+    """
+    if value == math.inf and not finite:
+        return
+    square = value * value
+    if not (value > 0.0 and 0.0 < square and 0.0 < 0.5 / square < math.inf):
+        raise ValueError(f"{name} is out of range, got {value}: it must be "
+                         f"{'' if finite else 'inf, or '}positive with a finite nonzero "
+                         f"square and inverse square")
 
 
 def pad_field(field: np.ndarray, radius: int, policy: BoundaryPolicy) -> np.ndarray:

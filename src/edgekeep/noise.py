@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import ImageBuffer
+from .image import ImageBuffer, check_count
 
 NOISE_KINDS = ("salt-pepper", "gaussian")
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Corruption description; density drives salt-pepper, std drives gaussian."""
+    """Corruption description; density drives salt-pepper, std drives gaussian,
+    and seed, any integer (numpy integers are kept as int), keys the generator."""
 
     kind: str
     density: float = 0.05
@@ -35,6 +36,7 @@ class NoiseSpec:
             raise ValueError(f"density must lie in [0, 1], got {self.density}")
         if not self.std >= 0.0:
             raise ValueError(f"std must be >= 0, got {self.std}")
+        object.__setattr__(self, "seed", check_count("seed", self.seed, minimum=None))
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -10,7 +10,9 @@ means instead of four, and no steered bands. decompose returns the pair,
 local_energy its four energies, and steer the bands themselves, which only
 tests and inspection build. A pairwise tournament and a three-rule cascade
 turn the energies into one of six texture classes. The resulting label map
-feeds the multilateral filter's texture-similarity weight.
+feeds the multilateral filter's texture-similarity weight. TextureParams holds
+every setting of these stages, the base scale sigma_g of bx and by included:
+compute_texture_map(img, TextureParams(sigma_g=1.5)).
 
 The kernels, tensor products and combination, and the label tournament run in
 row bands on the filter's band threads (see kernels); the public functions
@@ -26,7 +28,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .image import BoundaryPolicy, ImageBuffer, check_count, to_grayscale
+from .image import BoundaryPolicy, ImageBuffer, check_count, check_sigma, to_grayscale
 from .kernels import _run_bands, convolve, gaussian_derivative_taps, window_mean
 
 #: Sub-band orientations in their fixed order (degrees).
@@ -63,18 +65,6 @@ class TextureClass(IntEnum):
 EXPORT_GRAY_LEVELS = (0, 51, 102, 153, 204, 255)
 
 
-def check_sigma_g(sigma_g: float) -> None:
-    """Reject a sigma_g the derivative taps cannot be sampled at.
-
-    The taps divide by sigma_g**2, so sigma_g must be finite and positive
-    with a square, and an inverse square, that are finite and nonzero.
-    """
-    square = sigma_g * sigma_g
-    if not (0.0 < sigma_g < math.inf and 0.0 < square < math.inf and 0.5 / square < math.inf):
-        raise ValueError(f"sigma_g is out of range, got {sigma_g}: it must be finite and "
-                         f"positive, with a finite nonzero square and inverse square")
-
-
 def steerable_radius(sigma_g: float) -> int:
     """Radius of the derivative taps: 3 * ceil(sigma_g)."""
     return 3 * int(math.ceil(sigma_g))
@@ -82,7 +72,9 @@ def steerable_radius(sigma_g: float) -> int:
 
 @dataclass(frozen=True)
 class TextureParams:
-    """Energy-window radius plus the smooth/complex rule thresholds.
+    """Every texture setting: the steerable base scale sigma_g (finite, since
+    the derivative taps are sampled at it), the energy-window radius, and the
+    smooth/complex rule thresholds.
 
     smooth_threshold None selects the adaptive default:
     ADAPTIVE_THRESHOLD_FRACTION times the mean of all orientation energies
@@ -90,6 +82,7 @@ class TextureParams:
     second-largest energy must reach that fraction of the largest.
     """
 
+    sigma_g: float = DEFAULT_SIGMA_G
     energy_window_radius: int = 2
     smooth_threshold: float | None = None
     complex_ratio: float = 0.8
@@ -101,6 +94,7 @@ class TextureParams:
             raise ValueError(f"smooth_threshold must be >= 0, got {self.smooth_threshold}")
         if not 0.0 < self.complex_ratio <= 1.0:
             raise ValueError(f"complex_ratio must lie in (0, 1], got {self.complex_ratio}")
+        check_sigma("sigma_g", self.sigma_g, finite=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,20 +121,17 @@ class TextureMap:
 
 
 def decompose(img, sigma_g: float = DEFAULT_SIGMA_G,
-              policy: BoundaryPolicy = BoundaryPolicy.REPLICATE,
-              radius: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+              policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> tuple[np.ndarray, np.ndarray]:
     """The steerable basis pair (bx, by): bx = d(u) g(v) and by = g(u) d(v),
-    separable convolutions, each a row pass and a column pass over
-    mirror-paired taps. Every oriented band is a combination of the two
-    (see steer)."""
-    check_sigma_g(sigma_g)
+    separable convolutions over taps of radius steerable_radius(sigma_g),
+    each a row pass and a column pass over mirror-paired taps. Every
+    oriented band is a combination of the two (see steer)."""
+    check_sigma("sigma_g", sigma_g, finite=True)
     if isinstance(img, ImageBuffer):
         if img.channels != 1:
             raise ValueError("texture analysis expects a gray image")
         img = img.pixels
-    if radius is None:
-        radius = steerable_radius(sigma_g)
-    g, d = gaussian_derivative_taps(sigma_g, radius)
+    g, d = gaussian_derivative_taps(sigma_g, steerable_radius(sigma_g))
     return convolve(img, g, d, policy), convolve(img, d, g, policy)
 
 
@@ -237,16 +228,15 @@ def classify(energies: np.ndarray, params: TextureParams | None = None) -> Textu
 
 
 def compute_texture_map(img: ImageBuffer, params: TextureParams | None = None,
-                        sigma_g: float = DEFAULT_SIGMA_G,
                         policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> TextureMap:
-    """Steerable basis, its four orientation energies, then the three-rule
-    classification.
+    """Steerable basis at params.sigma_g, its four orientation energies, then
+    the three-rule classification.
 
     Color images are grayscale-converted first; texture is independent of
     color.
     """
     params = params or TextureParams()
-    energies = local_energy(decompose(to_grayscale(img), sigma_g, policy),
+    energies = local_energy(decompose(to_grayscale(img), params.sigma_g, policy),
                             params.energy_window_radius, policy)
     return classify(energies, params)
 

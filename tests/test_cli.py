@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from edgekeep.cli import main
+from edgekeep.cli import OPTIONS, main
 from edgekeep.image import ImageBuffer, load_pnm, save_pnm
 from edgekeep.synth import grating, step_edge
 from edgekeep.texture import steerable_radius
@@ -376,3 +378,72 @@ def test_bench_user_images(tmp_path):
 
 def test_usage_error_without_command(capsys):
     assert main([]) == 2
+
+
+# --- fuzz ---
+
+# Valid values stay small, so every draw runs in milliseconds on 8x8 images.
+_VALID = {
+    "mode": st.sampled_from(["bilateral", "multilateral", "average"]),
+    "radius": st.integers(1, 3), "passes": st.integers(1, 2),
+    "energy-radius": st.integers(1, 3),
+    "sigma-d": st.floats(0.1, 10.0), "sigma-r": st.floats(0.01, 1.0),
+    "sigma-t": st.floats(0.01, 100.0) | st.just(math.inf), "sigma-g": st.floats(0.3, 2.0),
+    "smooth-threshold": st.floats(0.0, 1.0), "complex-ratio": st.floats(0.05, 1.0),
+    "noise": st.sampled_from(["salt-pepper", "gaussian"]),
+    "density": st.floats(0.0, 1.0), "std": st.floats(0.0, 1.0),
+    "seed": st.integers(-2**70, 2**70),
+    "report": st.sampled_from(["text", "csv", "markdown"]),
+}
+# Out of every option's range, or of its type; none of these is a small
+# valid radius or pass count.
+_INVALID = st.one_of(
+    st.just(math.nan), st.floats(max_value=0.0), st.integers(max_value=0),
+    st.floats(min_value=1e6), st.integers(min_value=10**6), st.text(max_size=4),
+    st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_FUZZ_COMMANDS = ("filter", "texture", "add-noise", "metrics")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(3)
+    write_pnm(path / "gray.pgm", ImageBuffer(rng.random((8, 8))))
+    write_pnm(path / "rgb.ppm", ImageBuffer(rng.random((8, 8, 3))))
+    return path
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):
+    command = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+    # Half the draws hold only valid values, so the runs that succeed are
+    # not rare.
+    broken = data.draw(st.booleans())
+    flags = [opt.flag for opt in OPTIONS if command in opt.commands] + ["bogus"] * broken
+
+    def value(flag):
+        valid = _VALID.get(flag, _INVALID)
+        return data.draw(valid | _INVALID if broken else valid)
+
+    argv = [command]
+    for flag in data.draw(st.lists(st.sampled_from(flags), max_size=4)):
+        argv.append(f"--{flag}={value(flag)}")
+    if data.draw(st.booleans()):
+        keys = data.draw(st.lists(st.sampled_from(flags), max_size=4, unique=True))
+        config = {flag: value(flag) for flag in keys}
+        if broken:
+            config = data.draw(st.just(config) | _INVALID)
+        (fuzz_dir / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(fuzz_dir / "config.json")]
+    images = st.sampled_from(["gray.pgm", "rgb.ppm", "absent.pgm"])
+    argv.append(str(fuzz_dir / data.draw(images)))
+    if command == "metrics":
+        argv.append(str(fuzz_dir / data.draw(images)))
+        if data.draw(st.booleans()):
+            argv += ["--clean", str(fuzz_dir / data.draw(images))]
+    else:
+        argv.append(str(fuzz_dir / "out.pnm"))
+    assert main(argv) in (0, 1, 2)

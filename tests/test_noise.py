@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from edgekeep.bench import cell_seed, run_bench
 from edgekeep.image import ImageBuffer
 from edgekeep.noise import NoiseSpec, add_noise, salt_pepper_fields
 
@@ -105,3 +106,23 @@ def test_negative_seed_is_deterministic():
     a = add_noise(img, NoiseSpec("salt-pepper", density=0.3, seed=-7))
     b = add_noise(img, NoiseSpec("salt-pepper", density=0.3, seed=-7))
     assert np.array_equal(a.pixels, b.pixels)
+
+
+@pytest.mark.parametrize("seed, as_int", [
+    (np.int64(3), 3), (np.uint64(3), 3), (np.int8(-7), -7), (2**70, 2**70),
+    (1.5, None), (3.0, None), (np.float64(3.0), None), ("3", None), (None, None)])
+def test_seeds_must_be_integers(seed, as_int):
+    if as_int is None:
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            NoiseSpec("gaussian", seed=seed)
+        with pytest.raises(ValueError, match="^base_seed must be an integer"):
+            cell_seed(seed, "x")
+        with pytest.raises(ValueError, match="^base_seed must be an integer"):
+            run_bench(base_seed=seed)
+        return
+    spec = NoiseSpec("gaussian", seed=seed)
+    assert type(spec.seed) is int and spec.seed == as_int
+    for kind in ("gaussian", "salt-pepper"):
+        assert np.array_equal(add_noise(mid_image(), NoiseSpec(kind, seed=seed)).pixels,
+                              add_noise(mid_image(), NoiseSpec(kind, seed=as_int)).pixels)
+    assert cell_seed(seed, "x") == cell_seed(as_int, "x")

@@ -81,7 +81,7 @@ def test_decompose_rejects_out_of_range_sigma_g(sigma_g):
     with pytest.raises(ValueError, match="sigma_g"):
         decompose(img, sigma_g)
     with pytest.raises(ValueError, match="sigma_g"):
-        compute_texture_map(img, sigma_g=sigma_g)
+        compute_texture_map(img, TextureParams(sigma_g=sigma_g))
 
 
 def decompose_oracle(field, sigma_g, policy):
@@ -353,7 +353,7 @@ def test_texture_params_validation():
 
 def _texture_stage(field, policy, sigma_g, window_radius):
     """Every banded texture output: both kernels, the energies and the labels."""
-    params = TextureParams(energy_window_radius=window_radius)
+    params = TextureParams(sigma_g=sigma_g, energy_window_radius=window_radius)
     g, d = gaussian_derivative_taps(sigma_g, steerable_radius(sigma_g))
     basis = decompose(field, sigma_g, policy)
     energies = local_energy(basis, window_radius, policy)
@@ -362,7 +362,7 @@ def _texture_stage(field, policy, sigma_g, window_radius):
     assert mean is into
     return [convolve(field, d, g, policy), mean, *basis, energies,
             classify(energies, params).labels,
-            compute_texture_map(ImageBuffer(field), params, sigma_g, policy).labels]
+            compute_texture_map(ImageBuffer(field), params, policy).labels]
 
 
 @settings(max_examples=40, deadline=None)
