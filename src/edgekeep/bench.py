@@ -76,11 +76,12 @@ def _row(image: str, noise: str, param: str, label: str, report) -> BenchRow:
 
 
 def _both_filters(name: str, img: ImageBuffer, spec: NoiseSpec, param: str) -> list[BenchRow]:
-    """Noise from spec, then a bilateral and a multilateral row on the noisy image."""
+    """Noise from spec, both filters on the noisy image, then one row per filter."""
     noisy = add_noise(img, spec)
-    return [_row(name, spec.kind, param, mode.value,
-                 evaluate_pair(noisy, filter_image(noisy, BENCH_FILTER_PARAMS, mode)))
-            for mode in (FilterMode.BILATERAL, FilterMode.MULTILATERAL)]
+    modes = (FilterMode.BILATERAL, FilterMode.MULTILATERAL)
+    outs = [filter_image(noisy, BENCH_FILTER_PARAMS, mode) for mode in modes]
+    return [_row(name, spec.kind, param, mode.value, evaluate_pair(noisy, out))
+            for mode, out in zip(modes, outs)]
 
 
 def _comparison_cell(name: str, img: ImageBuffer, kind: str, base_seed: int) -> list[BenchRow]:
