@@ -13,7 +13,8 @@ runs; two runs or more each), the git SHAs and source digests measured, and
 the machine facts: numpy, python, nproc and perfbench's machine-speed factor,
 and the traced functions a run found absent.
 Every side after the first is also compared with the first, seed by seed, in
-the direction BENCHMARK.json declares for each end-to-end metric.
+the direction BENCHMARK.json declares for each end-to-end metric, and given a
+verdict against that metric's bound (see verdict).
 """
 
 from __future__ import annotations
@@ -80,9 +81,34 @@ def summarize(runs: dict) -> dict:
     return summary
 
 
-def compare(base: dict, other: dict, better: dict) -> dict:
-    """Per workload and end-to-end metric: median ratio other/base and the
-    number of shared seeds on which `other` is better."""
+def verdict(base: list[float], other: list[float], better: str, bound: float) -> str:
+    """One end-to-end metric's reading of paired runs, base against other:
+
+    - "better": other wins 9/10 of the pairs or more, and the medians differ
+      by more than the distance between base's quartiles;
+    - "worse": other's median is worse than base's by more than `bound`, a
+      share of base's median;
+    - "unresolved": base's spread is wider than `bound`, and not every run
+      of other beats every run of base;
+    - "within bound": anything else.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # sign * (y - x) > 0: y is worse
+    wins = sum(sign * (y - x) < 0 for x, y in zip(base, other))
+    stats = spread(base)
+    gain = sign * (stats["median"] - statistics.median(other))
+    if 10 * wins >= 9 * len(base) and gain > stats["q3"] - stats["q1"]:
+        return "better"
+    if -gain > bound * abs(stats["median"]):
+        return "worse"
+    every_run_beats = max(sign * y for y in other) < min(sign * x for x in base)
+    if stats["spread"] > bound and not every_run_beats:
+        return "unresolved"
+    return "within bound"
+
+
+def compare(base: dict, other: dict, end_to_end: list[dict]) -> dict:
+    """Per workload and end-to-end metric: median ratio other/base, the
+    number of shared seeds on which `other` is better, and the verdict."""
     out = {}
     for workload in sorted(set(base) & set(other)):
         a, b = base[workload].get("trace0", {}), other[workload].get("trace0", {})
@@ -90,14 +116,16 @@ def compare(base: dict, other: dict, better: dict) -> dict:
         if not seeds:
             continue
         rows = {}
-        for name, direction in better.items():
+        for metric in end_to_end:
+            name, direction = metric["name"], metric["better"]
             va = [a[s]["result"]["metrics"][name]["value"] for s in seeds]
             vb = [b[s]["result"]["metrics"][name]["value"] for s in seeds]
             wins = sum((y > x) if direction == "higher" else (y < x) for x, y in zip(va, vb))
             base_median = statistics.median(va)
             rows[name] = {"ratio_of_medians": statistics.median(vb) / base_median
                           if base_median else None,
-                          "better_pairs": wins, "pairs": len(seeds)}
+                          "better_pairs": wins, "pairs": len(seeds),
+                          "verdict": verdict(va, vb, direction, metric["bound"])}
         out[workload] = rows
     return out
 
@@ -107,14 +135,13 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     sides = [arg.split("=", 1) for arg in argv[1:]]
     runs = {name: load_side(Path(directory)) for name, directory in sides}
     first = sides[0][0]
     record = {
         "sides": {name: summarize(runs[name]) for name, _ in sides},
         "compared_with": first,
-        "comparisons": {name: compare(runs[first], runs[name], better)
+        "comparisons": {name: compare(runs[first], runs[name], spec["end_to_end"])
                         for name, _ in sides[1:]},
     }
     Path(argv[0]).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -48,45 +48,3 @@ from .texture import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BenchReport",
-    "BenchRow",
-    "BoundaryPolicy",
-    "Direction",
-    "FilterMode",
-    "FilterParams",
-    "ImageBuffer",
-    "MalformedHeaderError",
-    "MetricsReport",
-    "NoiseSpec",
-    "ORIENTATIONS_DEG",
-    "PnmError",
-    "TextureClass",
-    "TextureMap",
-    "TextureParams",
-    "TruncatedPayloadError",
-    "UnsupportedMaxvalError",
-    "add_noise",
-    "classify",
-    "compute_texture_map",
-    "convolve",
-    "decompose",
-    "edge_preserving_exponent",
-    "ep_ratio",
-    "evaluate_pair",
-    "filter_image",
-    "filter_oracle",
-    "gaussian_derivative_taps",
-    "grating",
-    "load_pnm",
-    "local_energy",
-    "run_bench",
-    "save_pnm",
-    "snr",
-    "steer",
-    "step_edge",
-    "texture_map_image",
-    "to_grayscale",
-    "two_texture",
-]

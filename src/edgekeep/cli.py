@@ -172,10 +172,12 @@ def cmd_filter(args, values: dict) -> int:
     if values["passes"] > PASSES_LIMIT:
         raise ValueError(f"passes must be <= {PASSES_LIMIT}, got {values['passes']:.6g}")
     params = _construct(FilterParams, values)
-    texture_params = _construct(TextureParams, values)
+    # Only multilateral mode classifies texture; other modes never read, and
+    # so never check, the texture settings.
+    multilateral = mode is FilterMode.MULTILATERAL
+    texture_params = _construct(TextureParams, values) if multilateral else None
     img = _read_image(args.input)
-    texture_radii = _TEXTURE_RADII if mode is FilterMode.MULTILATERAL else ()
-    _check_radii(img, values, ("radius",) + texture_radii)
+    _check_radii(img, values, ("radius",) + (_TEXTURE_RADII if multilateral else ()))
     _echo_config(values)
     start = time.perf_counter()
     out = filter_image(img, params, mode, texture_params=texture_params)

@@ -3,7 +3,9 @@ the row-band runner of every image-sized stage.
 
 Both texture kernels are separable: the steerable derivative pair is
 d(u) g(v) and g(u) d(v), and the energy window is a box. Each is applied as
-a row pass over the padded rows followed by a column pass. Every pass sums
+a row pass over a band's padded rows followed by a column pass. No
+whole-field padded copy is made: each band builds its own halo, slicing the
+rows inside the image and folding only those outside it. Every pass sums
 mirror-paired taps, P(x - k) + P(x + k) for an even pair and
 P(x - k) - P(x + k) for an odd pair, before multiplying once, so a
 horizontal or vertical flip of the input flips an even pass's output
@@ -23,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .image import BoundaryPolicy, ImageBuffer, check_count, pad_field
+from .image import BoundaryPolicy, ImageBuffer, check_count, fold_index
 
 #: Samples per row band (512 KiB of float64): enough numpy work per band to
 #: outweigh the Python between calls, which holds the GIL, and few enough for
@@ -144,21 +146,44 @@ def _taps_pass(src: np.ndarray, taps: np.ndarray, axis: int,
     return out
 
 
-def _separable(padded: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,
-               out: np.ndarray, divisor: float = 1.0) -> np.ndarray:
-    """Row pass, then column pass, over a field padded by the taps' radius,
-    into `out`, each sample then divided by `divisor` unless it is 1; a row
-    band at a time, each sample seeing the same operations in any band.
+def _halo(field: np.ndarray, y0: int, y1: int, r: int,
+          policy: BoundaryPolicy) -> np.ndarray:
+    """pad_field(field, r, policy)[y0:y1 + 2r] of a 2-D field, built from its
+    rows y0 - r to y1 + r alone: rows inside the image are one slice copy, and
+    only the rows and columns outside it are folded by `policy`."""
+    h, w = field.shape
+
+    def fold(start: int, stop: int, n: int) -> np.ndarray:
+        return np.array([fold_index(i, n, policy) for i in range(start, stop)], dtype=np.intp)
+
+    lo, hi = max(y0 - r, 0), min(y1 + r, h)
+    top, inside = lo - (y0 - r), hi - lo
+    slab = np.empty((y1 - y0 + 2 * r, w + 2 * r))
+    core = slab[:, r:r + w]
+    core[:top] = field[fold(y0 - r, lo, h)]
+    core[top:top + inside] = field[lo:hi]
+    core[top + inside:] = field[fold(hi, y1 + r, h)]
+    slab[:, :r] = core[:, fold(-r, 0, w)]
+    slab[:, r + w:] = core[:, fold(w, w + r, w)]
+    return slab
+
+
+def _separable(field: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,
+               out: np.ndarray, policy: BoundaryPolicy, divisor: float = 1.0) -> np.ndarray:
+    """Row pass, then column pass, over `field` padded by the taps' radius per
+    `policy`, into `out`, each sample then divided by `divisor` unless it is 1;
+    a row band at a time, each band padding its own rows (_halo) and each
+    sample seeing the same operations in any band.
     """
     r = len(row_taps) // 2
 
     def band(y0: int, y1: int, worker: int) -> None:
-        rows = _taps_pass(padded[y0:y1 + 2 * r], row_taps, 1)
+        rows = _taps_pass(_halo(field, y0, y1, r, policy), row_taps, 1)
         _taps_pass(rows, col_taps, 0, out[y0:y1])
         if divisor != 1.0:
             np.divide(out[y0:y1], divisor, out=out[y0:y1])
 
-    _run_bands(out.shape[0], padded.shape[1], band)
+    _run_bands(out.shape[0], field.shape[1] + 2 * r, band)
     return out
 
 
@@ -169,8 +194,8 @@ def convolve(field, col_taps, row_taps,
     out(x, y) = sum over (u, v) of col_taps[v + r] * row_taps[u + r] *
     field(x - u, y - v), where u runs along x (columns) and v along y (rows).
     Accepts a gray ImageBuffer or a bare 2-D array and returns an unclamped
-    float64 field of the same shape. The field is padded once; a row pass
-    over every padded row is followed by a column pass. Orientation fix:
+    float64 field of the same shape. Each row band pads its own rows; a row
+    pass over them is followed by a column pass. Orientation fix:
     row taps with a single tap at u = 1 shift image content by +1 along x.
     """
     if isinstance(field, ImageBuffer):
@@ -183,8 +208,7 @@ def convolve(field, col_taps, row_taps,
     if row_taps.ndim != 1 or len(row_taps) % 2 != 1 or col_taps.shape != row_taps.shape:
         raise ValueError(f"taps must be 1-D, of one odd length, got shapes "
                          f"{col_taps.shape} and {row_taps.shape}")
-    return _separable(pad_field(field, len(row_taps) // 2, policy), col_taps, row_taps,
-                      np.empty(field.shape))
+    return _separable(field, col_taps, row_taps, np.empty(field.shape), policy)
 
 
 def window_mean(field: np.ndarray, radius: int,
@@ -200,5 +224,5 @@ def window_mean(field: np.ndarray, radius: int,
     field = np.asarray(field, dtype=np.float64)
     side = 2 * radius + 1
     ones = np.ones(side)
-    return _separable(pad_field(field, radius, policy), ones, ones,
-                      np.empty(field.shape) if out is None else out, float(side * side))
+    return _separable(field, ones, ones, np.empty(field.shape) if out is None else out,
+                      policy, float(side * side))

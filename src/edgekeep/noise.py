@@ -10,6 +10,7 @@ normal deviate per sample (row-major, channels last). Uniforms use numpy's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class NoiseSpec:
             raise ValueError(f"kind must be one of {NOISE_KINDS}, got {self.kind!r}")
         if not 0.0 <= self.density <= 1.0:
             raise ValueError(f"density must lie in [0, 1], got {self.density}")
-        if not self.std >= 0.0:
-            raise ValueError(f"std must be >= 0, got {self.std}")
+        if not 0.0 <= self.std < math.inf:
+            raise ValueError(f"std must be finite and >= 0, got {self.std}")
         object.__setattr__(self, "seed", check_count("seed", self.seed, minimum=None))
 
 

@@ -155,14 +155,17 @@ def local_energy(basis, window_radius: int = 2,
     E+/-45 = (A + B)/2 +/- C. E+/-45 are clamped at 0, where a cancellation
     can round them below it. A horizontal or vertical flip negates bx or by
     exactly, so C changes sign exactly and the flipped energies are exact,
-    with E45 and E-45 swapped.
+    with E45 and E-45 swapped. The only image-sized arrays made are the four
+    energy planes: each product is staged in the E45 plane, and the window
+    means pad row band by row band.
     """
     window_radius = check_count("window_radius", window_radius)
     bx, by = basis
     energies = np.empty((len(ORIENTATIONS_DEG),) + bx.shape)
-    product = np.empty(bx.shape)
-    # A, B and C go straight into the energy array, C into the E-45 plane,
-    # which the tensor combination writes last.
+    # Each product is staged in the E45 plane, which holds nothing until the
+    # tensor combination writes it; A, B and C go straight into the energy
+    # array, C into the E-45 plane.
+    product = energies[2]
     for a, b, plane in ((bx, bx, 0), (by, by, 1), (bx, by, 3)):
         _run_bands(*bx.shape, lambda y0, y1, worker, a=a, b=b:
                    np.multiply(a[y0:y1], b[y0:y1], out=product[y0:y1]))
@@ -170,7 +173,7 @@ def local_energy(basis, window_radius: int = 2,
 
     def combine(y0: int, y1: int, worker: int) -> None:
         e = energies[:, y0:y1]
-        half_trace = np.add(e[0], e[1], out=product[y0:y1])
+        half_trace = np.add(e[0], e[1])
         half_trace *= 0.5
         np.add(half_trace, e[3], out=e[2])
         np.subtract(half_trace, e[3], out=e[3])

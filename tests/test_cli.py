@@ -190,7 +190,7 @@ OUT_OF_RANGE = [
     ("texture", "smooth-threshold", -1.0), ("texture", "smooth-threshold", math.nan),
     ("texture", "complex-ratio", 2.0),
     ("add-noise", "density", 2.0), ("add-noise", "std", -1.0),
-    ("add-noise", "std", math.nan), ("add-noise", "seed", 1.5),
+    ("add-noise", "std", math.nan), ("add-noise", "std", math.inf), ("add-noise", "seed", 1.5),
     ("bench", "seed", 1.5),
 ]
 
@@ -241,6 +241,15 @@ def test_radius_bound_is_largest_of_image_side_and_floor(tmp_path):
     assert main(["texture", "--energy-radius=71", wide, out]) == 2
     # bilateral never classifies texture, so only its own radius is bounded
     assert main(["filter", "--energy-radius=100000", "--sigma-g=1e5", small, out]) == 0
+
+
+def test_texture_settings_are_checked_only_in_multilateral_mode(tmp_path, capsys):
+    src = write_pnm(tmp_path / "a.pgm", ImageBuffer(np.random.default_rng(1).random((8, 8))))
+    out = str(tmp_path / "b.pgm")
+    for mode in ("bilateral", "average"):
+        assert main(["filter", f"--mode={mode}", "--sigma-g=0", src, out]) == 0
+    assert main(["filter", "--mode=multilateral", "--sigma-g=0", src, out]) == 2
+    assert "sigma-g" in capsys.readouterr().err
 
 
 def test_passes_bound_is_inclusive(tmp_path):

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgekeep.image import BoundaryPolicy, ImageBuffer, pad_field, sample_at
-from edgekeep.kernels import convolve, gaussian_derivative_taps, window_mean
+from edgekeep.kernels import _halo, convolve, gaussian_derivative_taps, window_mean
 
 REPLICATE = BoundaryPolicy.REPLICATE
 MIRROR = BoundaryPolicy.MIRROR
@@ -146,6 +148,21 @@ def test_convolve_and_window_mean_span_row_blocks():
         padded = pad_field(field, 2, policy)
         expected = sum(padded[j:j + 70, i:i + 1100] for j in range(5) for i in range(5)) / 25
         assert np.abs(window_mean(field, 2, policy) - expected).max() <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_band_halo_is_the_band_of_the_padded_field(data):
+    # Shapes from 1x1 up, radii above the image side, and every band split:
+    # top (y0 = 0), interior, bottom (y1 = h) and the single band (0, h).
+    h, w = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    r = data.draw(st.integers(0, 30))
+    y0 = data.draw(st.integers(0, h - 1))
+    y1 = data.draw(st.integers(y0 + 1, h))
+    field = np.arange(h * w, dtype=np.float64).reshape(h, w)
+    for policy in (REPLICATE, MIRROR):
+        expected = pad_field(field, r, policy)[y0:y1 + 2 * r]
+        assert np.array_equal(_halo(field, y0, y1, r, policy), expected)
 
 
 def test_convolve_linearity():

@@ -23,6 +23,8 @@ def test_spec_validation():
         NoiseSpec(kind="gaussian", std=-0.1)
     with pytest.raises(ValueError, match="std"):
         NoiseSpec(kind="gaussian", std=float("nan"))
+    with pytest.raises(ValueError, match="std must be finite"):
+        NoiseSpec(kind="gaussian", std=float("inf"))
 
 
 def test_zero_density_is_exact_identity():

@@ -1,6 +1,7 @@
 """Steerable decomposition, local energy, and texture classification tests."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +28,8 @@ from edgekeep.texture import (
     texture_distance,
     texture_map_image,
 )
-from edgekeep.synth import grating
+from edgekeep.noise import NoiseSpec, add_noise
+from edgekeep.synth import grating, step_edge
 
 REPLICATE = BoundaryPolicy.REPLICATE
 POLICIES = st.sampled_from(list(BoundaryPolicy))
@@ -382,6 +384,24 @@ def test_texture_stage_is_bit_identical_to_one_band(data):
         mp.setattr(kernels, "_WORKERS", workers)
         for got, want in zip(_texture_stage(*stage), expected, strict=True):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_texture_map_peaks_below_six_and_a_half_image_arrays(monkeypatch):
+    # bx, by and the four energy planes are image-sized; the products, the
+    # padded rows and the half trace are band-sized.
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
+    cells = [np.full((64, 64), 0.5), grating(64, "x").pixels, grating(64, "y").pixels,
+             step_edge(64).pixels]
+    mosaic = np.vstack([np.hstack([cells[(i + j * j) % 4] for j in range(16)])
+                        for i in range(16)])
+    img = add_noise(ImageBuffer(mosaic), NoiseSpec("salt-pepper", density=0.03, seed=1))
+    tracemalloc.start()
+    try:
+        compute_texture_map(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * img.pixels.nbytes
 
 
 # --- texture distance and export ---

@@ -78,6 +78,7 @@ def test_bench_record_folds_runs_into_medians_and_pair_wins(tmp_path):
     mpix = record["comparisons"]["change"]["gray_multilateral_1024"]["mpix_s"]
     assert mpix["better_pairs"] == 2 and mpix["pairs"] == 3
     assert mpix["ratio_of_medians"] == 2.5 / 2.0
+    assert mpix["verdict"] == "within bound"  # 2 of 3 pairs is no gain
     # Lower is better for times: the change is slower on 2 of 3 seeds.
     assert record["comparisons"]["change"]["gray_multilateral_1024"]["setup_s"][
         "better_pairs"] == 1
@@ -88,3 +89,26 @@ def test_bench_record_refuses_a_single_run(tmp_path):
     _write_run(tmp_path / "a", 5, 0, {"mpix_s": 2.0}, "aaa")
     with pytest.raises(SystemExit, match="two runs"):
         record_script.main([str(tmp_path / "BENCH.json"), f"parent={tmp_path / 'a'}"])
+
+
+STEADY = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]
+
+
+@pytest.mark.parametrize("base, other, better, expected", [
+    (STEADY, [9.0] * 10, "lower", "better"),
+    ([2.0, 2.1, 1.9, 2.0], [2.5, 2.6, 2.4, 2.5], "higher", "better"),
+    # 9 of 10 pairs still counts; the one lost pair does not undo the gain.
+    (STEADY, [9.0] * 9 + [10.5], "lower", "better"),
+    # Every pair won, but by less than the base's own quartile distance.
+    (STEADY, [x - 0.05 for x in STEADY], "lower", "within bound"),
+    (STEADY, [12.0] * 10, "lower", "worse"),
+    ([2.0, 2.1, 1.9, 2.0], [1.5, 1.6, 1.4, 1.5], "higher", "worse"),
+    # The base spreads wider than the 10% bound: a flat median resolves nothing...
+    ([5.0, 10.0, 15.0, 10.0], [10.0, 9.0, 11.0, 10.0], "lower", "unresolved"),
+    # ...unless every run of the change beats every run of the base.
+    ([5.0, 10.0, 15.0, 20.0], [4.0] * 4, "lower", "within bound"),
+    (STEADY, [10.05, 10.0, 10.0, 10.1, 10.2, 9.9, 10.0, 10.0, 9.9, 10.1], "lower",
+     "within bound"),
+])
+def test_bench_record_verdict(base, other, better, expected):
+    assert _load_bench_record().verdict(base, other, better, 0.1) == expected
