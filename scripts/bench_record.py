@@ -11,7 +11,8 @@ median, quartiles and spread that perfbench/baseline.py reports for them
 (end-to-end metrics from --trace 0 runs, per-layer metrics from --trace 1
 runs; two runs or more each), the git SHAs and source digests measured, and
 the machine facts: numpy, python, nproc and perfbench's machine-speed factor,
-and the traced functions a run found absent.
+and the traced functions a run found absent. End-to-end runs also give the
+raw metrics, the times and rates before perfbench scales them by the factor.
 Every side after the first is also compared with the first, seed by seed, in
 the direction BENCHMARK.json declares for each end-to-end metric, and given a
 verdict against that metric's bound (see verdict).
@@ -74,6 +75,9 @@ def summarize(runs: dict) -> dict:
             if trace == "trace0":  # perfbench times its speed reference in these only
                 entry[section]["speed_factor"] = spread(
                     [run["speed_factor"] for run in ordered])
+                entry[section]["raw_metrics"] = {
+                    name: spread([run["raw_metrics"][name] for run in ordered])
+                    for name in ordered[0]["raw_metrics"]}
             else:
                 entry[section]["absent"] = sorted(
                     {name for run in ordered for name in run.get("absent", [])})
@@ -106,9 +110,20 @@ def verdict(base: list[float], other: list[float], better: str, bound: float) ->
     return "within bound"
 
 
+def paired(base: list[float], other: list[float], better: str) -> dict:
+    """The median ratio other/base and the pairs on which `other` is better."""
+    wins = sum((y > x) if better == "higher" else (y < x) for x, y in zip(base, other))
+    base_median = statistics.median(base)
+    return {"ratio_of_medians": statistics.median(other) / base_median if base_median else None,
+            "better_pairs": wins}
+
+
 def compare(base: dict, other: dict, end_to_end: list[dict]) -> dict:
     """Per workload and end-to-end metric: median ratio other/base, the
-    number of shared seeds on which `other` is better, and the verdict."""
+    number of shared seeds on which `other` is better, and the verdict. A
+    metric that perfbench also reports unscaled by its speed factor gets the
+    same ratio and pair count of the raw values ("raw_..."), so that a gain
+    the factor made, or hid, shows next to the verdict."""
     out = {}
     for workload in sorted(set(base) & set(other)):
         a, b = base[workload].get("trace0", {}), other[workload].get("trace0", {})
@@ -120,12 +135,12 @@ def compare(base: dict, other: dict, end_to_end: list[dict]) -> dict:
             name, direction = metric["name"], metric["better"]
             va = [a[s]["result"]["metrics"][name]["value"] for s in seeds]
             vb = [b[s]["result"]["metrics"][name]["value"] for s in seeds]
-            wins = sum((y > x) if direction == "higher" else (y < x) for x, y in zip(va, vb))
-            base_median = statistics.median(va)
-            rows[name] = {"ratio_of_medians": statistics.median(vb) / base_median
-                          if base_median else None,
-                          "better_pairs": wins, "pairs": len(seeds),
-                          "verdict": verdict(va, vb, direction, metric["bound"])}
+            rows[name] = dict(paired(va, vb, direction), pairs=len(seeds),
+                              verdict=verdict(va, vb, direction, metric["bound"]))
+            if all(name in runs[s].get("raw_metrics", {}) for runs in (a, b) for s in seeds):
+                raw = paired([a[s]["raw_metrics"][name] for s in seeds],
+                             [b[s]["raw_metrics"][name] for s in seeds], direction)
+                rows[name].update({f"raw_{key}": value for key, value in raw.items()})
         out[workload] = rows
     return out
 

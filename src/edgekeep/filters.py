@@ -2,9 +2,10 @@
 
 The optimized engine cuts each pass into row bands of about
 kernels._BAND_SAMPLES padded channel-samples and runs them on the package's
-band threads (kernels._run_bands); within a band it walks window offsets with
-whole-band array slices. Every pixel sees the same operations in the same
-order whatever the band size or core count, so the output depends on neither.
+band threads (kernels._run_bands); within a band it walks window offsets as
+contiguous shifts of the flattened padded planes. Every pixel sees the same
+operations in the same order whatever the band size or core count, so the
+output depends on neither.
 The oracle variant is a literal per-pixel transcription kept for equivalence
 testing. Every weight factor is symmetric in the pixel pair, so the engine
 computes one weight per unordered pair, w(x, x + d) == w(x + d, x), and
@@ -117,81 +118,79 @@ def _resolve_texture(current: ImageBuffer, pass_index: int, supplied: TextureMap
 
 
 class _Scratch:
-    """One worker's pass buffers, sized for the tallest band and reused by
-    every band and offset it runs; `take` views a contiguous prefix."""
+    """One worker's pass buffers for bands of up to `rows` padded-width rows,
+    reused by every band and offset it runs; `take` views a contiguous prefix."""
 
     def __init__(self, c: int, rows: int, w: int, m: int):
-        pairs = (rows + m) * (w + m)  # the most pair centres of one offset
+        pairs, samples = (rows + m) * (w + 2 * m), rows * (w + 2 * m)
         self.diff, self.weight = np.empty(c * pairs), np.empty(pairs)
         self.square, self.differs = np.empty(pairs), np.empty(pairs, dtype=bool)
-        self.num, self.num_b = np.empty(c * rows * w), np.empty(c * rows * w)
-        self.numerator = np.empty(c * rows * w)
-        self.den, self.den_b = np.empty(rows * w), np.empty(rows * w)
-        self.denominator = np.empty(rows * w)
+        self.num, self.num_b, self.numerator = (np.empty(c * samples) for _ in range(3))
+        self.den, self.den_b, self.denominator = (np.empty(samples) for _ in range(3))
 
     @staticmethod
     def take(buffer: np.ndarray, *shape: int) -> np.ndarray:
         return buffer[:math.prod(shape)].reshape(shape)
 
 
-def _filter_band(band: np.ndarray, band_labels: np.ndarray | None, params: FilterParams,
+def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: FilterParams,
                  weighted: bool, scratch: _Scratch, out: np.ndarray) -> None:
     """Filter one row band into `out`, its (c, rows, w) slice of the output.
 
     `band` holds the band's rows of the padded channel planes plus m rows of
-    padding above and below; `band_labels` the same rows of padded labels.
+    padding above and below; `flat_labels` the same rows of padded labels,
+    flattened. The planes are walked flat too: with W = w + 2m, offset (di, dj)
+    is the shift s = dj·W + di, and the kept pixels lie in the run [x0, x0 + N),
+    x0 = m·W + m, N = (h - 1)·W + w, with 2m pad columns between their rows.
+    No window wraps a row, as the pads are m wide; the pad columns are summed
+    too, and cropped once, at the divide.
     """
-    m = params.window_radius
-    c, h, w = band.shape[0], band.shape[1] - 2 * m, band.shape[2] - 2 * m
+    m, (c, rows, width) = params.window_radius, band.shape
+    h, w = rows - 2 * m, width - 2 * m
+    flat = band.reshape(c, -1)  # a view: each channel plane's rows are contiguous
+    x0, n_kept = m * width + m, (h - 1) * width + w
     take = _Scratch.take
     neg_inv_2sr2 = -0.5 / (params.sigma_r ** 2)
     inv_2sd2 = 0.5 / (params.sigma_d ** 2)
     neg_inv_2st2 = -0.5 / (params.sigma_t ** 2)  # where labels differ, else 0
     # The lowest range and texture exponent of any pair: samples lie in [0, 1].
-    lowest = c * neg_inv_2sr2 + (0.0 if band_labels is None else neg_inv_2st2)
+    lowest = c * neg_inv_2sr2 + (0.0 if flat_labels is None else neg_inv_2st2)
 
     def pair_sums(di: int, dj: int, num: np.ndarray, den: np.ndarray):
         """Numerator and denominator sums of offsets +d and -d, d = (di, dj) forward.
 
         The numerator goes to `num`; the denominator, returned, is `den` or
-        the scalar 2.0 of two unit weights. The pair (q, q + d) is weighted
-        once for every centre q that a pixel x reads: q = x for offset +d and
-        q = x - d for offset -d. Both read the same weight, and the weighted
-        diff of -d is exactly the negation.
+        the scalar 2.0 of two unit weights. Each pair (q, q + s), q in
+        [x0 - s, x0 + N), is weighted once: pixel x reads it as q = x for +d
+        and as q = x - s for -d, whose weighted diff is exactly the negation.
         """
-        c0 = min(0, -di)
-        rows, cols = slice(m - dj, m + h), slice(m + c0, m + max(w, w - di))
-        rows_d = slice(rows.start + dj, rows.stop + dj)
-        cols_d = slice(cols.start + di, cols.stop + di)
-        fwd = (..., slice(dj, dj + h), slice(-c0, -c0 + w))
-        bwd = (..., slice(0, h), slice(-c0 - di, -c0 - di + w))
-        centres = (h + dj, w + abs(di))
-        diff = take(scratch.diff, c, *centres)
-        np.subtract(band[:, rows_d, cols_d], band[:, rows, cols], out=diff)
+        s = dj * width + di  # > 0: dj >= 1, or dj = 0 and di >= 1
+        n = n_kept + s
+        ahead, centres = slice(x0, x0 + n), slice(x0 - s, x0 + n_kept)
+        fwd, bwd = slice(s, s + n_kept), slice(0, n_kept)
+        diff = take(scratch.diff, c, n)
+        np.subtract(flat[:, ahead], flat[:, centres], out=diff)
         if not weighted:
-            np.subtract(diff[fwd], diff[bwd], out=num)
+            np.subtract(diff[:, fwd], diff[:, bwd], out=num)
             return 2.0
-        weight = take(scratch.weight, *centres)
+        weight = take(scratch.weight, n)
         np.square(diff[0], out=weight)
         for plane in diff[1:]:
-            weight += np.square(plane, out=take(scratch.square, *centres))
+            weight += np.square(plane, out=take(scratch.square, n))
         np.multiply(weight, neg_inv_2sr2, out=weight)
         spatial = (di * di + dj * dj) * inv_2sd2
         weight -= spatial
-        if band_labels is not None:
-            differs = take(scratch.differs, *centres)
-            np.not_equal(band_labels[rows_d, cols_d], band_labels[rows, cols], out=differs)
-            cross = take(scratch.square, *centres)
-            np.copyto(cross, differs)
-            cross *= neg_inv_2st2
-            weight += cross
+        if flat_labels is not None:
+            differs = take(scratch.differs, n)
+            np.not_equal(flat_labels[ahead], flat_labels[centres], out=differs)
+            weight += np.multiply(differs, neg_inv_2st2, out=take(scratch.square, n))
         # exp is tenfold slower and more near underflow; raising a weight to
         # e^-700 (about 1e-304) moves an output by at most that per neighbour.
         if lowest - spatial < -700.0:
             np.maximum(weight, -700.0, out=weight)
         np.exp(weight, out=weight)
         diff *= weight
-        np.subtract(diff[fwd], diff[bwd], out=num)
+        np.subtract(diff[:, fwd], diff[:, bwd], out=num)
         return np.add(weight[fwd], weight[bwd], out=den)
 
     # Contributions accumulate relative to the center sample, so constant
@@ -201,11 +200,11 @@ def _filter_band(band: np.ndarray, band_labels: np.ndarray | None, params: Filte
     # +/-(di, dj) with its mirror +/-(-di, dj). A horizontal or vertical flip
     # only swaps the operands of additions within a set, and IEEE addition
     # commutes, so flipped inputs give exactly flipped outputs.
-    num, num_b = take(scratch.num, c, h, w), take(scratch.num_b, c, h, w)
-    den, den_b = take(scratch.den, h, w), take(scratch.den_b, h, w)
-    numerator = take(scratch.numerator, c, h, w)
+    num, num_b = take(scratch.num, c, n_kept), take(scratch.num_b, c, n_kept)
+    den, den_b = take(scratch.den, n_kept), take(scratch.den_b, n_kept)
+    numerator = take(scratch.numerator, c, h * width)[:, :n_kept]
     numerator.fill(0.0)
-    denominator = take(scratch.denominator, h, w) if weighted else 1.0
+    denominator = take(scratch.denominator, h * width)[:n_kept] if weighted else 1.0
     if weighted:
         denominator.fill(1.0)
     for k in range(1, m + 1):
@@ -221,9 +220,11 @@ def _filter_band(band: np.ndarray, band_labels: np.ndarray | None, params: Filte
             d += d_b
             numerator += num
             denominator += d
-    np.divide(numerator, denominator, out=numerator)
-    np.add(band[:, m:m + h, m:m + w], numerator, out=numerator)
-    np.clip(numerator, 0.0, 1.0, out=out)
+    kept = take(scratch.numerator, c, h, width)[:, :, :w]  # the crop
+    np.divide(kept, take(scratch.denominator, h, width)[:, :w] if weighted else denominator,
+              out=kept)
+    np.add(band[:, m:m + h, m:m + w], kept, out=kept)
+    np.clip(kept, 0.0, 1.0, out=out)
 
 
 def _filter_pass(work: np.ndarray, mode: FilterMode, params: FilterParams,
@@ -245,7 +246,7 @@ def _filter_pass(work: np.ndarray, mode: FilterMode, params: FilterParams,
         if worker not in scratches:
             scratches[worker] = _Scratch(c, y1 - y0 + 1, w, m)
         _filter_band(padded[:, y0:y1 + 2 * m],
-                     None if padded_labels is None else padded_labels[y0:y1 + 2 * m],
+                     None if padded_labels is None else padded_labels[y0:y1 + 2 * m].ravel(),
                      params, weighted, scratches[worker], out[:, y0:y1])
 
     _run_bands(h, c * (w + 2 * m), band)
@@ -271,14 +272,13 @@ def filter_image(img: ImageBuffer, params: FilterParams | None = None,
 
     current = img
     for pass_index in range(params.passes):
-        labels = None
-        if mode is FilterMode.MULTILATERAL:
-            tex = _resolve_texture(current, pass_index, texture, texture_params, policy)
-            labels = tex.labels
+        labels = None if mode is not FilterMode.MULTILATERAL else _resolve_texture(
+            current, pass_index, texture, texture_params, policy).labels
         gray = current.channels == 1
-        work = current.pixels[:, :, np.newaxis] if gray else current.pixels
-        out = _filter_pass(work, mode, params, policy, labels)
+        out = _filter_pass(current.pixels[:, :, np.newaxis] if gray else current.pixels,
+                           mode, params, policy, labels)
         current = ImageBuffer(out[:, :, 0] if gray else out)
+        del out, labels  # copied into current; not held through the next pass
     return current
 
 

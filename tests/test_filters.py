@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,6 +23,8 @@ from edgekeep.filters import (
     weight_multilateral,
 )
 from edgekeep.image import BoundaryPolicy, ImageBuffer
+from edgekeep.noise import NoiseSpec, add_noise
+from edgekeep.synth import grating, step_edge
 from edgekeep.texture import TextureMap, TextureParams, compute_texture_map
 
 REPLICATE = BoundaryPolicy.REPLICATE
@@ -508,6 +511,47 @@ def test_engine_matches_oracle_where_exp_underflows(monkeypatch, shape, mode, pa
     fast = filter_image(img, params, mode, policy)
     slow = filter_oracle(img, params, mode, policy)
     assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_engine_matches_oracle_fuzzed(data):
+    # Sides down to 1 make radii exceed the image and the padded width tiny.
+    h, w = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    img = ImageBuffer(rng.random((h, w) if data.draw(st.booleans()) else (h, w, 3)))
+    params = FilterParams(window_radius=data.draw(st.integers(1, 4)),
+                          sigma_r=data.draw(st.sampled_from((0.05, 0.1, 1.0))),
+                          sigma_t=data.draw(st.sampled_from((0.2, 1.0))),
+                          passes=data.draw(st.integers(1, 2)))
+    mode = data.draw(st.sampled_from(MODES))
+    policy = data.draw(st.sampled_from((REPLICATE, MIRROR)))
+    tex = TextureMap(rng.integers(0, 6, size=(h, w))) if mode is FilterMode.MULTILATERAL else None
+    with pytest.MonkeyPatch.context() as mp:
+        _use_bands(mp, img, params.window_radius, data.draw(st.integers(1, h)),
+                   data.draw(st.sampled_from((1, 2))))
+        fast = filter_image(img, params, mode, policy, tex)
+    slow = filter_oracle(img, params, mode, policy, tex)
+    assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12
+
+
+def test_multilateral_passes_peak_below_eight_image_arrays(monkeypatch):
+    # Each pass's texture map peaks at about 6.2 image arrays on top of the
+    # pass input; the previous pass's output and labels are let go first.
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
+    cells = [np.full((64, 64), 0.5), grating(64, "x").pixels, grating(64, "y").pixels,
+             step_edge(64).pixels]
+    mosaic = np.vstack([np.hstack([cells[(i + j * j) % 4] for j in range(16)])
+                        for i in range(16)])
+    img = add_noise(ImageBuffer(mosaic), NoiseSpec("salt-pepper", density=0.03, seed=1))
+    params = FilterParams(window_radius=2, sigma_r=0.2, passes=2)
+    tracemalloc.start()
+    try:
+        filter_image(img, params, FilterMode.MULTILATERAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.75 * img.pixels.nbytes
 
 
 def test_oracle_constant_identity_within_rounding():

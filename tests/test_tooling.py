@@ -41,7 +41,9 @@ def _load_bench_record():
     return module
 
 
-def _write_run(directory, seed, trace, metrics, sha):
+def _write_run(directory, seed, trace, metrics, sha, raw=None, speed_factor=1.0):
+    """One perfbench result file; `raw` holds the unscaled metrics of an
+    end-to-end run (by default the scaled ones, as at speed factor 1)."""
     directory.mkdir(parents=True, exist_ok=True)
     run = {"facts": {"git_sha": sha, "src_sha256": "d" + sha, "numpy": "2", "python": "3",
                      "nproc": 2},
@@ -50,7 +52,9 @@ def _write_run(directory, seed, trace, metrics, sha):
     if trace:
         run["absent"] = []
     else:
-        run["speed_factor"] = 1.0
+        run["speed_factor"] = speed_factor
+        run["raw_metrics"] = raw if raw is not None else {
+            name: value for name, value in metrics.items() if name != "peak_rss_mb"}
     name = f"gray_multilateral_1024-seed{seed}-trace{trace}.json"
     (directory / name).write_text(json.dumps(run))
 
@@ -82,6 +86,31 @@ def test_bench_record_folds_runs_into_medians_and_pair_wins(tmp_path):
     # Lower is better for times: the change is slower on 2 of 3 seeds.
     assert record["comparisons"]["change"]["gray_multilateral_1024"]["setup_s"][
         "better_pairs"] == 1
+
+
+def test_bench_record_shows_raw_metrics_next_to_each_verdict(tmp_path):
+    # The change's op times are raw-slower on every seed, but its runs met a
+    # slower speed reference, so the scaled times read faster.
+    record_script = _load_bench_record()
+    for seed in range(10):
+        for side, sha, op_s, factor in (("a", "aaa", 0.100, 1.0), ("b", "bbb", 0.110, 0.8)):
+            _write_run(tmp_path / side, seed, 0,
+                       {"op_s.p50": op_s * factor + seed * 1e-4, "peak_rss_mb": 50.0}, sha,
+                       raw={"op_s.p50": op_s + seed * 1e-4}, speed_factor=factor)
+    spec = [{"name": "op_s.p50", "better": "lower", "bound": 0.25},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    change = record_script.summarize(record_script.load_side(tmp_path / "b"))[
+        "gray_multilateral_1024"]["end_to_end"]
+    assert change["speed_factor"]["values"] == [0.8] * 10
+    assert change["raw_metrics"]["op_s.p50"]["median"] == pytest.approx(0.11045)
+    rows = record_script.compare(record_script.load_side(tmp_path / "a"),
+                                 record_script.load_side(tmp_path / "b"), spec)
+    p50 = rows["gray_multilateral_1024"]["op_s.p50"]
+    assert p50["verdict"] == "better" and p50["better_pairs"] == 10
+    assert p50["raw_better_pairs"] == 0
+    assert p50["raw_ratio_of_medians"] == pytest.approx(0.11045 / 0.10045)
+    # perfbench reports no raw peak RSS: it is not scaled.
+    assert "raw_better_pairs" not in rows["gray_multilateral_1024"]["peak_rss_mb"]
 
 
 def test_bench_record_refuses_a_single_run(tmp_path):
