@@ -2,8 +2,9 @@
 
 The optimized engine cuts each pass into row bands of about
 kernels._BAND_SAMPLES padded channel-samples and runs them on the package's
-band threads (kernels._run_bands); within a band it walks window offsets as
-contiguous shifts of the flattened padded planes. Every pixel sees the same
+band threads (kernels._run_bands); each band pads its own rows (kernels._halo)
+into channel planes, walks window offsets as contiguous shifts of those planes
+flattened, and writes its rows of the output in place. Every pixel sees the same
 operations in the same order whatever the band size or core count, so the
 output depends on neither.
 The oracle variant is a literal per-pixel transcription kept for equivalence
@@ -29,10 +30,9 @@ from .image import (
     check_count,
     check_sigma,
     fold_index,
-    pad_field,
     sample_at,
 )
-from .kernels import _run_bands
+from .kernels import _halo, _run_bands
 from .texture import TextureMap, TextureParams, compute_texture_map, texture_distance
 
 
@@ -123,6 +123,8 @@ class _Scratch:
 
     def __init__(self, c: int, rows: int, w: int, m: int):
         pairs, samples = (rows + m) * (w + 2 * m), rows * (w + 2 * m)
+        padded = (rows + 2 * m) * (w + 2 * m)
+        self.planes, self.labels = np.empty(c * padded), np.empty(padded, dtype=np.uint8)
         self.diff, self.weight = np.empty(c * pairs), np.empty(pairs)
         self.square, self.differs = np.empty(pairs), np.empty(pairs, dtype=bool)
         self.num, self.num_b, self.numerator = (np.empty(c * samples) for _ in range(3))
@@ -135,7 +137,7 @@ class _Scratch:
 
 def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: FilterParams,
                  weighted: bool, scratch: _Scratch, out: np.ndarray) -> None:
-    """Filter one row band into `out`, its (c, rows, w) slice of the output.
+    """Filter one row band into `out`, its rows of the output's (c, h, w) planes.
 
     `band` holds the band's rows of the padded channel planes plus m rows of
     padding above and below; `flat_labels` the same rows of padded labels,
@@ -227,30 +229,31 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
     np.clip(kept, 0.0, 1.0, out=out)
 
 
-def _filter_pass(work: np.ndarray, mode: FilterMode, params: FilterParams,
+def _filter_pass(pixels: np.ndarray, mode: FilterMode, params: FilterParams,
                  policy: BoundaryPolicy, labels: np.ndarray | None) -> np.ndarray:
-    """One pass over the image, in row bands on the band threads."""
-    h, w, c = work.shape
-    m = params.window_radius
-    # Channel planes first, so per-channel arithmetic runs over contiguous
-    # rows and the shared weight broadcasts over the leading axis.
-    padded = np.ascontiguousarray(np.moveaxis(pad_field(work, m, policy), -1, 0))
-    padded_labels = None if labels is None else pad_field(labels, m, policy)
+    """One pass over (h, w) or (h, w, 3) samples, in row bands on the band
+    threads, into a new array of their shape."""
+    out = np.empty(pixels.shape)
+    pixels = pixels.reshape(pixels.shape[0], pixels.shape[1], -1)  # (h, w, c), c = 1 for gray
+    (h, w, c), m = pixels.shape, params.window_radius
+    planes = np.moveaxis(out.reshape(h, w, c), -1, 0)  # each band writes its rows here
     weighted = mode is not FilterMode.AVERAGE
     scratches: dict[int, _Scratch] = {}
-    out = np.empty((c, h, w))
 
     def band(y0: int, y1: int, worker: int) -> None:
         # Each thread makes its buffers itself, on its first band; band
-        # heights differ by one row at most.
+        # heights differ by one row at most. A band pads its own rows into
+        # channel planes, so per-channel arithmetic runs over contiguous rows.
         if worker not in scratches:
             scratches[worker] = _Scratch(c, y1 - y0 + 1, w, m)
-        _filter_band(padded[:, y0:y1 + 2 * m],
-                     None if padded_labels is None else padded_labels[y0:y1 + 2 * m].ravel(),
-                     params, weighted, scratches[worker], out[:, y0:y1])
+        scratch, rows = scratches[worker], (y1 - y0 + 2 * m, w + 2 * m)
+        band_planes = _halo(pixels, y0, y1, m, policy, _Scratch.take(scratch.planes, c, *rows))
+        band_labels = None if labels is None else _halo(
+            labels, y0, y1, m, policy, _Scratch.take(scratch.labels, *rows)).ravel()
+        _filter_band(band_planes, band_labels, params, weighted, scratch, planes[:, y0:y1])
 
     _run_bands(h, c * (w + 2 * m), band)
-    return np.moveaxis(out, 0, -1)
+    return out
 
 
 def filter_image(img: ImageBuffer, params: FilterParams | None = None,
@@ -274,11 +277,8 @@ def filter_image(img: ImageBuffer, params: FilterParams | None = None,
     for pass_index in range(params.passes):
         labels = None if mode is not FilterMode.MULTILATERAL else _resolve_texture(
             current, pass_index, texture, texture_params, policy).labels
-        gray = current.channels == 1
-        out = _filter_pass(current.pixels[:, :, np.newaxis] if gray else current.pixels,
-                           mode, params, policy, labels)
-        current = ImageBuffer(out[:, :, 0] if gray else out)
-        del out, labels  # copied into current; not held through the next pass
+        current = ImageBuffer._adopt(_filter_pass(current.pixels, mode, params, policy, labels))
+        del labels  # not held through the next pass
     return current
 
 

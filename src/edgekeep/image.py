@@ -25,11 +25,6 @@ class BoundaryPolicy(Enum):
     MIRROR = "mirror"
 
 
-# np.pad mode realizing each policy; 'reflect' mirrors without repeating the
-# edge pixel, which is the mirror contract here.
-_PAD_MODES = {BoundaryPolicy.REPLICATE: "edge", BoundaryPolicy.MIRROR: "reflect"}
-
-
 class PnmError(ValueError):
     """Defective PNM input; `offset` is the byte position of the defect."""
 
@@ -61,8 +56,8 @@ class ImageBuffer:
 
     pixels: np.ndarray
 
-    def __post_init__(self):
-        arr = np.array(self.pixels, dtype=np.float64, order="C")
+    def __post_init__(self, copy: bool = True):
+        arr = np.array(self.pixels, dtype=np.float64, order="C", copy=copy)
         if not (arr.ndim == 2 or (arr.ndim == 3 and arr.shape[2] == 3)):
             raise ValueError(f"expected (h, w) or (h, w, 3) samples, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -72,6 +67,15 @@ class ImageBuffer:
             raise ValueError("samples must lie in [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
+
+    @classmethod
+    def _adopt(cls, pixels: np.ndarray) -> ImageBuffer:
+        """A buffer holding `pixels` itself, checked but not copied: a C-ordered
+        float64 array that its maker hands over and no longer writes."""
+        buffer = object.__new__(cls)
+        object.__setattr__(buffer, "pixels", pixels)
+        buffer.__post_init__(copy=False)
+        return buffer
 
     @property
     def width(self) -> int:
@@ -133,12 +137,6 @@ def check_sigma(name: str, value, finite: bool = False) -> None:
         raise ValueError(f"{name} is out of range, got {value}: it must be "
                          f"{'' if finite else 'inf, or '}positive with a finite nonzero "
                          f"square and inverse square")
-
-
-def pad_field(field: np.ndarray, radius: int, policy: BoundaryPolicy) -> np.ndarray:
-    """Pad the two leading (row, column) axes of an array per boundary policy."""
-    width = [(radius, radius), (radius, radius)] + [(0, 0)] * (field.ndim - 2)
-    return np.pad(field, width, mode=_PAD_MODES[policy])
 
 
 def to_grayscale(img: ImageBuffer) -> ImageBuffer:
@@ -214,15 +212,13 @@ def load_pnm(data: bytes) -> ImageBuffer:
         raise MalformedHeaderError("expected a single whitespace byte after maxval", pos)
     pos += 1
     dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
-    needed = width * height * channels * dtype.itemsize
-    payload = data[pos:pos + needed]
-    if len(payload) < needed:
-        raise TruncatedPayloadError(
-            f"payload needs {needed} bytes, found {len(payload)}", pos + len(payload)
-        )
-    samples = np.frombuffer(payload, dtype=dtype).astype(np.float64) / maxval
     shape = (height, width) if channels == 1 else (height, width, 3)
-    return ImageBuffer(samples.reshape(shape))
+    needed = math.prod(shape) * dtype.itemsize
+    if len(data) - pos < needed:
+        raise TruncatedPayloadError(
+            f"payload needs {needed} bytes, found {len(data) - pos}", len(data))
+    samples = np.frombuffer(data, dtype, count=math.prod(shape), offset=pos).reshape(shape)
+    return ImageBuffer._adopt(np.divide(samples, maxval, dtype=np.float64))
 
 
 def save_pnm(img: ImageBuffer) -> bytes:
@@ -233,4 +229,5 @@ def save_pnm(img: ImageBuffer) -> bytes:
     """
     magic = b"P5" if img.channels == 1 else b"P6"
     header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
-    return header + np.round(img.pixels * 255.0).astype(np.uint8).tobytes()
+    levels = np.multiply(img.pixels, 255.0)
+    return header + np.round(levels, out=levels).astype(np.uint8).tobytes()

@@ -146,26 +146,29 @@ def _taps_pass(src: np.ndarray, taps: np.ndarray, axis: int,
     return out
 
 
-def _halo(field: np.ndarray, y0: int, y1: int, r: int,
-          policy: BoundaryPolicy) -> np.ndarray:
-    """pad_field(field, r, policy)[y0:y1 + 2r] of a 2-D field, built from its
-    rows y0 - r to y1 + r alone: rows inside the image are one slice copy, and
-    only the rows and columns outside it are folded by `policy`."""
-    h, w = field.shape
+def _halo(field: np.ndarray, y0: int, y1: int, r: int, policy: BoundaryPolicy,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Rows y0 - r to y1 + r of `field` padded by r per `policy` (fold_index),
+    as a (y1 - y0 + 2r, w + 2r) slab, or for an (h, w, c) field its c channel
+    planes (c, y1 - y0 + 2r, w + 2r), written to `out` when given. Rows inside
+    the image are one slice copy; only the rows and columns outside it fold."""
+    h, w = field.shape[:2]
 
     def fold(start: int, stop: int, n: int) -> np.ndarray:
         return np.array([fold_index(i, n, policy) for i in range(start, stop)], dtype=np.intp)
 
     lo, hi = max(y0 - r, 0), min(y1 + r, h)
     top, inside = lo - (y0 - r), hi - lo
-    slab = np.empty((y1 - y0 + 2 * r, w + 2 * r))
+    if out is None:
+        out = np.empty(field.shape[2:] + (y1 - y0 + 2 * r, w + 2 * r), field.dtype)
+    slab = out if field.ndim == 2 else np.moveaxis(out, 0, -1)  # the field's axis order
     core = slab[:, r:r + w]
     core[:top] = field[fold(y0 - r, lo, h)]
     core[top:top + inside] = field[lo:hi]
     core[top + inside:] = field[fold(hi, y1 + r, h)]
     slab[:, :r] = core[:, fold(-r, 0, w)]
     slab[:, r + w:] = core[:, fold(w, w + r, w)]
-    return slab
+    return out
 
 
 def _separable(field: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,

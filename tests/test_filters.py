@@ -554,6 +554,53 @@ def test_multilateral_passes_peak_below_eight_image_arrays(monkeypatch):
     assert peak <= 7.75 * img.pixels.nbytes
 
 
+@pytest.mark.parametrize("shape, params", [
+    ((1024, 1024), FilterParams(window_radius=2, sigma_r=0.2)),
+    ((512, 512, 3), FilterParams(window_radius=5, sigma_d=3.0, sigma_r=0.1)),
+])
+def test_filter_pass_peaks_below_two_image_arrays(monkeypatch, shape, params):
+    # The output, adopted by the returned buffer, is the one image-sized array
+    # a pass makes; each band pads its own rows into its worker's buffers.
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
+    img = ImageBuffer(np.random.default_rng(21).random(shape))
+    tracemalloc.start()
+    try:
+        filter_image(img, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.9 * img.pixels.nbytes
+
+
+def test_filter_output_is_read_only():
+    rng = np.random.default_rng(22)
+    for shape in ((6, 7), (6, 7, 3)):
+        img = ImageBuffer(rng.random(shape))
+        for mode in MODES:
+            out = filter_image(img, FilterParams(passes=2), mode)
+            assert not out.pixels.flags.writeable
+            with pytest.raises(ValueError):
+                out.pixels[0, 0] = 0.5
+
+
+def test_one_row_bands_under_windows_wider_than_the_image(monkeypatch):
+    # Every band is one row, and each halo folds the mirrored image more than
+    # once over: radius 7 on a side of 3 to 5 rows or columns.
+    rng = np.random.default_rng(23)
+    params = FilterParams(window_radius=7, sigma_r=0.3, sigma_t=0.5)
+    for shape in ((4, 5), (5, 3, 3)):
+        img = ImageBuffer(rng.random(shape))
+        tex = TextureMap(rng.integers(0, 6, size=shape[:2]))
+        with pytest.MonkeyPatch.context() as mp:
+            _use_bands(mp, img, 7, None, 1)
+            expected = filter_image(img, params, FilterMode.MULTILATERAL, MIRROR, tex).pixels
+        _use_bands(monkeypatch, img, 7, 1, 2)
+        banded = filter_image(img, params, FilterMode.MULTILATERAL, MIRROR, tex).pixels
+        assert np.array_equal(banded, expected), shape
+        slow = filter_oracle(img, params, FilterMode.MULTILATERAL, MIRROR, tex).pixels
+        assert np.abs(banded - slow).max() <= 1e-12, shape
+
+
 def test_oracle_constant_identity_within_rounding():
     img = ImageBuffer(np.full((6, 6), 0.47))
     for mode in MODES:

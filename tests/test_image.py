@@ -1,5 +1,7 @@
 """Image buffer, boundary addressing, grayscale, and PNM round-trip tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,28 @@ def test_roundtrip_is_stable_after_first_quantization():
     rng = np.random.default_rng(7)
     img = load_pnm(save_pnm(ImageBuffer(rng.random((8, 8)))))
     assert save_pnm(load_pnm(save_pnm(img))) == save_pnm(img)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pnm_codec_makes_one_image_array():
+    # load_pnm scales the payload, read in place, into the array its buffer
+    # adopts; save_pnm scales and rounds in one array before the 8-bit bytes.
+    rng = np.random.default_rng(43)
+    for shape in ((1024, 1024), (512, 512, 3)):
+        img = ImageBuffer(rng.random(shape))
+        data = save_pnm(img)
+        loaded = load_pnm(data)
+        assert not loaded.pixels.flags.writeable
+        assert _traced_peak(lambda: load_pnm(data)) <= 1.3 * img.pixels.nbytes
+        assert _traced_peak(lambda: save_pnm(img)) <= 1.4 * img.pixels.nbytes
 
 
 # --- grayscale ---

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgekeep.image import BoundaryPolicy, ImageBuffer, pad_field, sample_at
+from edgekeep.image import BoundaryPolicy, ImageBuffer, sample_at
 from edgekeep.kernels import _halo, convolve, gaussian_derivative_taps, window_mean
 
 REPLICATE = BoundaryPolicy.REPLICATE
 MIRROR = BoundaryPolicy.MIRROR
+
+
+def pad_field(field, radius, policy):
+    """np.pad of the (row, column) axes per policy: the reference for band halos.
+    'reflect' mirrors without repeating the edge pixel, the mirror contract."""
+    width = [(radius, radius)] * 2 + [(0, 0)] * (field.ndim - 2)
+    return np.pad(field, width, mode="edge" if policy is REPLICATE else "reflect")
 
 
 def convolve_oracle(img: ImageBuffer, taps: np.ndarray, policy) -> np.ndarray:
@@ -155,14 +162,25 @@ def test_convolve_and_window_mean_span_row_blocks():
 def test_band_halo_is_the_band_of_the_padded_field(data):
     # Shapes from 1x1 up, radii above the image side, and every band split:
     # top (y0 = 0), interior, bottom (y1 = h) and the single band (0, h).
+    # The filter's halos too: RGB samples as (3, rows, w) channel planes
+    # written into a caller's buffer, and uint8 labels.
     h, w = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
     r = data.draw(st.integers(0, 30))
     y0 = data.draw(st.integers(0, h - 1))
     y1 = data.draw(st.integers(y0 + 1, h))
     field = np.arange(h * w, dtype=np.float64).reshape(h, w)
+    rgb = np.arange(h * w * 3, dtype=np.float64).reshape(h, w, 3)
+    labels = (field % 6).astype(np.uint8)
     for policy in (REPLICATE, MIRROR):
         expected = pad_field(field, r, policy)[y0:y1 + 2 * r]
         assert np.array_equal(_halo(field, y0, y1, r, policy), expected)
+        planes = np.empty((3, y1 - y0 + 2 * r, w + 2 * r))
+        assert _halo(rgb, y0, y1, r, policy, planes) is planes
+        expected = np.moveaxis(pad_field(rgb, r, policy), -1, 0)[:, y0:y1 + 2 * r]
+        assert np.array_equal(planes, expected)
+        band = _halo(labels, y0, y1, r, policy)
+        assert band.dtype == np.uint8
+        assert np.array_equal(band, pad_field(labels, r, policy)[y0:y1 + 2 * r])
 
 
 def test_convolve_linearity():
