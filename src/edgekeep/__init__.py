@@ -28,7 +28,6 @@ from .metrics import (
     Direction,
     MetricsReport,
     edge_preserving_exponent,
-    ep_ratio,
     evaluate_pair,
     snr,
 )

@@ -139,16 +139,12 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def rows_to_csv(rows) -> str:
+def report_to_csv(report: BenchReport) -> str:
     lines = [CSV_HEADER]
-    for r in rows:
+    for r in report.all_rows():
         lines.append(f"{r.image},{r.noise},{r.param},{r.filter},"
                      f"{_fmt(r.snr_db)},{_fmt(r.ep_h)},{_fmt(r.ep_v)}")
     return "\n".join(lines) + "\n"
-
-
-def report_to_csv(report: BenchReport) -> str:
-    return rows_to_csv(report.all_rows())
 
 
 def report_to_markdown(report: BenchReport) -> str:

@@ -8,7 +8,8 @@ flattened, and writes its rows of the output in place. Every pixel sees the same
 operations in the same order whatever the band size or core count, so the
 output depends on neither.
 The oracle variant is a literal per-pixel transcription kept for equivalence
-testing. Every weight factor is symmetric in the pixel pair, so the engine
+testing; it samples pixels and labels through image.sample_at, gray and RGB
+alike. Every weight factor is symmetric in the pixel pair, so the engine
 computes one weight per unordered pair, w(x, x + d) == w(x + d, x), and
 applies it to all channels and to both ends of the pair. Each window is
 summed in mirror quads, {+d, -d} pairs whose total no horizontal or vertical
@@ -29,7 +30,6 @@ from .image import (
     ImageBuffer,
     check_count,
     check_sigma,
-    fold_index,
     sample_at,
 )
 from .kernels import _halo, _run_bands
@@ -75,28 +75,16 @@ def weight_bilateral(x, xi, img: ImageBuffer, params: FilterParams,
     dx = float(xi[0] - x[0])
     dy = float(xi[1] - x[1])
     spatial_sq = dx * dx + dy * dy
-    a = sample_at(img, x, policy)
-    b = sample_at(img, xi, policy)
-    if img.channels == 1:
-        range_sq = (b - a) * (b - a)
-    else:
-        d = b - a
-        range_sq = float(d @ d)
+    d = sample_at(img.pixels, xi, policy) - sample_at(img.pixels, x, policy)
+    range_sq = float(np.dot(d, d))
     return (math.exp(-0.5 * spatial_sq / (params.sigma_d ** 2))
             * math.exp(-0.5 * range_sq / (params.sigma_r ** 2)))
-
-
-def _label_at(tex: TextureMap, xy, policy: BoundaryPolicy) -> int:
-    h, w = tex.shape
-    col = fold_index(int(xy[0]), w, policy)
-    row = fold_index(int(xy[1]), h, policy)
-    return int(tex.labels[row, col])
 
 
 def weight_multilateral(x, xi, img: ImageBuffer, tex: TextureMap, params: FilterParams,
                         policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> float:
     """Bilateral weight times the texture-similarity factor."""
-    d = texture_distance(_label_at(tex, x, policy), _label_at(tex, xi, policy))
+    d = texture_distance(sample_at(tex.labels, x, policy), sample_at(tex.labels, xi, policy))
     texture_factor = math.exp(-0.5 * (d * d) / (params.sigma_t ** 2))
     return weight_bilateral(x, xi, img, params, policy) * texture_factor
 
@@ -302,12 +290,10 @@ def filter_oracle(img: ImageBuffer, params: FilterParams | None = None,
         tex = None
         if mode is FilterMode.MULTILATERAL:
             tex = _resolve_texture(current, pass_index, texture, texture_params, policy)
-        h, w, c = current.height, current.width, current.channels
-        out = np.zeros((h, w) if c == 1 else (h, w, 3))
-        for y in range(h):
-            for x in range(w):
-                accum = [0.0] * c
-                total = 0.0
+        out = np.empty(current.pixels.shape)
+        for y in range(current.height):
+            for x in range(current.width):
+                accum = total = 0.0  # accum turns into a channel vector for RGB
                 for j in range(-m, m + 1):
                     for i in range(-m, m + 1):
                         xi = (x + i, y + j)
@@ -318,17 +304,8 @@ def filter_oracle(img: ImageBuffer, params: FilterParams | None = None,
                         else:
                             weight = weight_multilateral((x, y), xi, current, tex,
                                                          params, policy)
-                        value = sample_at(current, xi, policy)
-                        if c == 1:
-                            accum[0] += value * weight
-                        else:
-                            for ch in range(c):
-                                accum[ch] += float(value[ch]) * weight
+                        accum = accum + sample_at(current.pixels, xi, policy) * weight
                         total += weight
-                if c == 1:
-                    out[y, x] = accum[0] / total
-                else:
-                    for ch in range(c):
-                        out[y, x, ch] = accum[ch] / total
+                out[y, x] = accum / total
         current = ImageBuffer(np.clip(out, 0.0, 1.0))
     return current

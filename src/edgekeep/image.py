@@ -101,16 +101,14 @@ def fold_index(i: int, n: int, policy: BoundaryPolicy) -> int:
     return period - i if i >= n else i
 
 
-def sample_at(img: ImageBuffer, xy, policy: BoundaryPolicy = BoundaryPolicy.REPLICATE):
-    """Sample pixel (x, y); out-of-range coordinates fold per `policy`.
-
-    Returns a float for gray images and a length-3 array for RGB.
+def sample_at(field: np.ndarray, xy, policy: BoundaryPolicy = BoundaryPolicy.REPLICATE):
+    """field[row, col] at pixel (x, y) of an (h, w) or (h, w, c) array, such as
+    an image's pixels or a texture map's labels; out-of-range coordinates fold
+    per `policy`. A scalar for an (h, w) field, a length-c vector otherwise.
     """
     x, y = xy
-    col = fold_index(int(x), img.width, policy)
-    row = fold_index(int(y), img.height, policy)
-    value = img.pixels[row, col]
-    return float(value) if img.channels == 1 else value
+    h, w = field.shape[:2]
+    return field[fold_index(int(y), h, policy), fold_index(int(x), w, policy)]
 
 
 def check_count(name: str, value, minimum: int | None = 1) -> int:
@@ -148,7 +146,7 @@ def to_grayscale(img: ImageBuffer) -> ImageBuffer:
     wr, wg, wb = LUMA_WEIGHTS
     # This summation order keeps pure white at exactly 1.0.
     luma = r * wr + (g * wg + b * wb)
-    return ImageBuffer(np.clip(luma, 0.0, 1.0))
+    return ImageBuffer._adopt(np.clip(luma, 0.0, 1.0, out=luma))
 
 
 _WS = frozenset(b" \t\n\r\x0b\x0c")

@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .image import BoundaryPolicy, ImageBuffer, check_count, fold_index
+from .image import BoundaryPolicy, check_count, fold_index
 
 #: Samples per row band (512 KiB of float64): enough numpy work per band to
 #: outweigh the Python between calls, which holds the GIL, and few enough for
@@ -178,6 +178,8 @@ def _separable(field: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,
     a row band at a time, each band padding its own rows (_halo) and each
     sample seeing the same operations in any band.
     """
+    if field.ndim != 2:
+        raise ValueError(f"expected an (h, w) field, got shape {field.shape}")
     r = len(row_taps) // 2
 
     def band(y0: int, y1: int, worker: int) -> None:
@@ -196,15 +198,11 @@ def convolve(field, col_taps, row_taps,
 
     out(x, y) = sum over (u, v) of col_taps[v + r] * row_taps[u + r] *
     field(x - u, y - v), where u runs along x (columns) and v along y (rows).
-    Accepts a gray ImageBuffer or a bare 2-D array and returns an unclamped
-    float64 field of the same shape. Each row band pads its own rows; a row
-    pass over them is followed by a column pass. Orientation fix:
+    Takes an (h, w) array, such as a gray image's pixels, and returns an
+    unclamped float64 field of the same shape. Each row band pads its own
+    rows; a row pass over them is followed by a column pass. Orientation fix:
     row taps with a single tap at u = 1 shift image content by +1 along x.
     """
-    if isinstance(field, ImageBuffer):
-        if field.channels != 1:
-            raise ValueError("convolve expects a gray image")
-        field = field.pixels
     field = np.asarray(field, dtype=np.float64)
     col_taps = np.asarray(col_taps, dtype=np.float64)
     row_taps = np.asarray(row_taps, dtype=np.float64)

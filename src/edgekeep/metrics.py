@@ -78,20 +78,6 @@ def edge_preserving_exponent(input_img: ImageBuffer, filtered_img: ImageBuffer,
     return numerator / denominator
 
 
-def ep_ratio(input_img: ImageBuffer, filtered_multi: ImageBuffer,
-             filtered_bi: ImageBuffer, direction: Direction | str) -> float | None:
-    """Edge-preserving exponent of the multilateral result over the bilateral one.
-
-    None propagates from degenerate inputs, and is also returned when the
-    bilateral exponent is zero.
-    """
-    multi = edge_preserving_exponent(input_img, filtered_multi, direction)
-    bi = edge_preserving_exponent(input_img, filtered_bi, direction)
-    if multi is None or bi is None or bi == 0.0:
-        return None
-    return multi / bi
-
-
 def evaluate_pair(input_img: ImageBuffer, filtered_img: ImageBuffer) -> MetricsReport:
     """SNR and both edge-preserving exponents for a filter run."""
     return MetricsReport(

@@ -66,10 +66,8 @@ def add_noise(img: ImageBuffer, spec: NoiseSpec) -> ImageBuffer:
     if spec.kind == "salt-pepper":
         corrupt, values = salt_pepper_fields(spec, img.height, img.width)
         out = img.pixels.copy()
-        if img.channels == 1:
-            out[corrupt] = values[corrupt]
-        else:
-            out[corrupt, :] = values[corrupt, np.newaxis]
-        return ImageBuffer(out)
+        out.reshape(img.height, img.width, -1)[corrupt] = values[corrupt, np.newaxis]
+        return ImageBuffer._adopt(out)
     deviates = _rng(spec.seed).normal(0.0, spec.std, size=img.pixels.shape)
-    return ImageBuffer(np.clip(img.pixels + deviates, 0.0, 1.0))
+    deviates += img.pixels
+    return ImageBuffer._adopt(np.clip(deviates, 0.0, 1.0, out=deviates))

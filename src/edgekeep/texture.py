@@ -161,6 +161,8 @@ def local_energy(basis, window_radius: int = 2,
     """
     window_radius = check_count("window_radius", window_radius)
     bx, by = basis
+    if bx.ndim != 2 or by.shape != bx.shape:
+        raise ValueError(f"expected two (h, w) fields, got shapes {bx.shape} and {by.shape}")
     energies = np.empty((len(ORIENTATIONS_DEG),) + bx.shape)
     # Each product is staged in the E45 plane, which holds nothing until the
     # tensor combination writes it; A, B and C go straight into the energy
@@ -252,4 +254,4 @@ def texture_distance(a, b) -> float:
 def texture_map_image(tex: TextureMap) -> ImageBuffer:
     """Gray image with the six labels at their fixed export gray levels."""
     levels = np.asarray(EXPORT_GRAY_LEVELS, dtype=np.float64) / 255.0
-    return ImageBuffer(levels[tex.labels])
+    return ImageBuffer._adopt(levels[tex.labels])

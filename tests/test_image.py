@@ -19,6 +19,8 @@ from edgekeep.image import (
     save_pnm,
     to_grayscale,
 )
+from edgekeep.noise import NOISE_KINDS, NoiseSpec, add_noise
+from edgekeep.texture import TextureMap, texture_map_image
 
 REPLICATE = BoundaryPolicy.REPLICATE
 MIRROR = BoundaryPolicy.MIRROR
@@ -199,36 +201,56 @@ def test_grayscale_idempotent_exactly():
     assert np.array_equal(once.pixels, twice.pixels)
 
 
+def test_made_images_are_read_only_and_share_no_memory_with_their_input():
+    # Noise, grayscale and label exports hand their fresh arrays to the buffer.
+    rng = np.random.default_rng(4)
+    for shape in ((5, 6), (5, 6, 3)):
+        img = ImageBuffer(rng.random(shape))
+        tex = TextureMap(rng.integers(0, 6, size=shape[:2]))
+        made = [(img.pixels, add_noise(img, NoiseSpec(kind, density=0.3, std=0.3, seed=1)))
+                for kind in NOISE_KINDS]
+        made.append((tex.labels, texture_map_image(tex)))
+        if img.channels == 3:
+            made.append((img.pixels, to_grayscale(img)))
+        for source, out in made:
+            assert not out.pixels.flags.writeable
+            assert not np.shares_memory(out.pixels, source)
+            with pytest.raises(ValueError):
+                out.pixels[0, 0] = 0.5
+
+
 # --- sample_at ---
 
 def test_sample_at_examples():
     img = ImageBuffer(np.arange(16, dtype=float).reshape(4, 4) / 15.0)
-    assert sample_at(img, (-1, 0), REPLICATE) == img.pixels[0, 0]
-    assert sample_at(img, (-1, 0), MIRROR) == img.pixels[0, 1]
-    assert sample_at(img, (2, 2), REPLICATE) == img.pixels[2, 2]
+    assert sample_at(img.pixels, (-1, 0), REPLICATE) == img.pixels[0, 0]
+    assert sample_at(img.pixels, (-1, 0), MIRROR) == img.pixels[0, 1]
+    assert sample_at(img.pixels, (2, 2), REPLICATE) == img.pixels[2, 2]
 
 
 def test_sample_at_rgb_returns_vector():
     img = ImageBuffer(np.random.default_rng(2).random((3, 3, 3)))
-    value = sample_at(img, (0, 0))
+    value = sample_at(img.pixels, (0, 0))
     assert value.shape == (3,)
     assert np.array_equal(value, img.pixels[0, 0])
 
 
 def test_sample_at_never_escapes_stored_array():
-    # Property sweep over coordinates far outside the image; folding must
-    # agree with an explicitly padded array for both policies.
+    # Property sweep over coordinates far outside the image, on an image's
+    # samples and on a texture map's uint8 labels; folding must agree with
+    # an explicitly padded array for both policies.
     rng = np.random.default_rng(3)
     for h, w in [(1, 1), (1, 5), (4, 3), (6, 6)]:
-        img = ImageBuffer(rng.random((h, w)))
-        pad = 3 * max(w, h)
-        edge = np.pad(img.pixels, pad, mode="edge")
-        refl = np.pad(img.pixels, pad, mode="reflect")
-        for _ in range(200):
-            x = int(rng.integers(-3 * w, 3 * w + 1))
-            y = int(rng.integers(-3 * h, 3 * h + 1))
-            assert sample_at(img, (x, y), REPLICATE) == edge[y + pad, x + pad]
-            assert sample_at(img, (x, y), MIRROR) == refl[y + pad, x + pad]
+        for field in (ImageBuffer(rng.random((h, w))).pixels,
+                      rng.integers(0, 6, size=(h, w), dtype=np.uint8)):
+            pad = 3 * max(w, h)
+            edge = np.pad(field, pad, mode="edge")
+            refl = np.pad(field, pad, mode="reflect")
+            for _ in range(200):
+                x = int(rng.integers(-3 * w, 3 * w + 1))
+                y = int(rng.integers(-3 * h, 3 * h + 1))
+                assert sample_at(field, (x, y), REPLICATE) == edge[y + pad, x + pad]
+                assert sample_at(field, (x, y), MIRROR) == refl[y + pad, x + pad]
 
 
 # --- PNM fuzz ---

@@ -1,5 +1,7 @@
 """1-D tap generation and separable convolution tests, pinned against brute-force oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from edgekeep.image import BoundaryPolicy, ImageBuffer, sample_at
 from edgekeep.kernels import _halo, convolve, gaussian_derivative_taps, window_mean
+from edgekeep.texture import decompose, local_energy
 
 REPLICATE = BoundaryPolicy.REPLICATE
 MIRROR = BoundaryPolicy.MIRROR
@@ -31,7 +34,7 @@ def convolve_oracle(img: ImageBuffer, taps: np.ndarray, policy) -> np.ndarray:
             total = 0.0
             for v in range(-r, r + 1):
                 for u in range(-r, r + 1):
-                    total += taps[v + r, u + r] * sample_at(img, (x - u, y - v), policy)
+                    total += taps[v + r, u + r] * sample_at(img.pixels, (x - u, y - v), policy)
             out[y, x] = total
     return out
 
@@ -91,8 +94,8 @@ def test_derivative_response_to_constant_is_zero():
     # Odd taps enter as P(x - k) - P(x + k), which is exactly 0 on a constant.
     g, d = gaussian_derivative_taps(1.0, 3)
     img = ImageBuffer(np.full((8, 9), 0.7))
-    assert np.all(convolve(img, g, d) == 0.0)
-    assert np.all(convolve(img, d, g) == 0.0)
+    assert np.all(convolve(img.pixels, g, d) == 0.0)
+    assert np.all(convolve(img.pixels, d, g) == 0.0)
 
 
 def test_kernel_validates_shape():
@@ -108,14 +111,14 @@ def test_kernel_validates_shape():
 
 def test_identity_kernel_is_exact_identity():
     img = ImageBuffer(np.random.default_rng(0).random((6, 7)))
-    out = convolve(img, delta(1), delta(1))
+    out = convolve(img.pixels, delta(1), delta(1))
     assert np.array_equal(out, img.pixels)
 
 
 def test_single_tap_shifts_plus_one_in_x():
     # Row tap at u = 1: content moves +1 along x.
     img = ImageBuffer(np.random.default_rng(1).random((5, 5)))
-    out = convolve(img, delta(1), delta(1, u=1), REPLICATE)
+    out = convolve(img.pixels, delta(1), delta(1, u=1), REPLICATE)
     assert np.array_equal(out[:, 1:], img.pixels[:, :-1])
     assert np.array_equal(out[:, 0], img.pixels[:, 0])  # replicated edge
 
@@ -123,7 +126,7 @@ def test_single_tap_shifts_plus_one_in_x():
 def test_constant_image_with_normalized_gaussian():
     img = ImageBuffer(np.full((7, 7), 0.42))
     g = normalized_gaussian(1.0, 3)
-    out = convolve(img, g, g)
+    out = convolve(img.pixels, g, g)
     assert np.abs(out - 0.42).max() <= 1e-10
 
 
@@ -135,7 +138,7 @@ def test_convolve_matches_brute_force_oracle():
              (rng.standard_normal(5), rng.standard_normal(5))]  # no mirror symmetry
     for policy in (REPLICATE, MIRROR):
         for col, row in pairs:
-            fast = convolve(img, col, row, policy)
+            fast = convolve(img.pixels, col, row, policy)
             slow = convolve_oracle(img, np.outer(col, row), policy)
             assert np.abs(fast - slow).max() <= 1e-12
 
@@ -217,7 +220,14 @@ def test_window_mean_matches_loop():
     assert np.abs(got - expected).max() <= 1e-12
 
 
-def test_convolve_rejects_rgb():
-    g, _ = gaussian_derivative_taps(1.0, 1)
-    with pytest.raises(ValueError):
-        convolve(ImageBuffer(np.zeros((3, 3, 3))), g, g)
+@pytest.mark.parametrize("shape", [(5,), (3, 3, 3)], ids=["1d", "3d"])
+@pytest.mark.parametrize("call", [
+    lambda f: decompose(f),
+    lambda f: convolve(f, *gaussian_derivative_taps(1.0, 1)),
+    lambda f: window_mean(f, 1),
+    lambda f: local_energy((f, f)),
+], ids=["decompose", "convolve", "window_mean", "local_energy"])
+def test_fields_that_are_not_2d_raise_value_error(call, shape):
+    # An RGB image's (h, w, 3) samples are one such field.
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        call(np.zeros(shape))

@@ -10,7 +10,6 @@ from edgekeep.image import ImageBuffer
 from edgekeep.metrics import (
     Direction,
     edge_preserving_exponent,
-    ep_ratio,
     evaluate_pair,
     snr,
 )
@@ -156,16 +155,6 @@ def test_smoothing_never_raises_ep_on_step_image():
 
 
 # --- ratio and report ---
-
-def test_ep_ratio_identity_and_propagation():
-    rng = np.random.default_rng(7)
-    inp = ImageBuffer(rng.random((6, 6)))
-    out = ImageBuffer(rng.random((6, 6)))
-    assert ep_ratio(inp, out, out, "horizontal") == 1.0
-    flat = ImageBuffer(np.full((6, 6), 0.5))
-    assert ep_ratio(flat, out, out, "horizontal") is None        # constant input
-    assert ep_ratio(inp, out, flat, "horizontal") is None        # zero denominator
-
 
 def test_evaluate_pair_fields():
     rng = np.random.default_rng(8)
