@@ -23,28 +23,13 @@ from .filters import FilterMode, FilterParams, filter_image
 from .image import ImageBuffer, PnmError, load_pnm, save_pnm
 from .metrics import evaluate_pair, snr
 from .noise import NoiseSpec, add_noise
-from .texture import (
-    DEFAULT_SIGMA_G,
-    TextureParams,
-    compute_texture_map,
-    steerable_radius,
-    texture_map_image,
-)
+from .texture import DEFAULT_SIGMA_G, TextureParams, compute_texture_map, texture_map_image
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 
 REPORT_FORMATS = ("text", "csv", "markdown")
-
-#: A radius above max(height, width, RADIUS_FLOOR) is rejected: past the image
-#: size it only repeats edge samples, while the padded fields grow with its
-#: square, so an unbounded radius is an unbounded allocation.
-RADIUS_FLOOR = 64
-
-#: The most filtering passes the CLI runs: each pass costs a full filter run,
-#: and an unbounded count is an unbounded run time.
-PASSES_LIMIT = 100
 
 
 class Option(NamedTuple):
@@ -79,9 +64,6 @@ OPTIONS = tuple(Option(*row) for row in (
 ))
 
 _FLAG_OF = {opt.field: opt.flag for opt in OPTIONS}
-
-# The flags setting a radius that texture classification pads by.
-_TEXTURE_RADII = ("energy-radius", "sigma-g")
 
 
 def _options(command: str) -> list[Option]:
@@ -127,25 +109,9 @@ def _resolve(args) -> dict:
 
 
 def _construct(make, values: dict):
-    """Call make with the option values its parameters name, by library field.
-
-    Library messages open with the field name; that word becomes the flag.
-    """
-    kwargs = {name: values[_FLAG_OF[name]] for name in inspect.signature(make).parameters
-              if _FLAG_OF.get(name) in values}
-    try:
-        return make(**kwargs)
-    except ValueError as exc:
-        raise ValueError(re.sub(r"^\w+", lambda m: _FLAG_OF.get(m[0], m[0]), str(exc))) from None
-
-
-def _check_radii(img: ImageBuffer, values: dict, flags):
-    limit = max(img.height, img.width, RADIUS_FLOOR)
-    for flag in flags:
-        radius = steerable_radius(values[flag]) if flag == "sigma-g" else values[flag]
-        if radius > limit:
-            raise ValueError(f"{flag} {values[flag]} sets a radius above {limit}, the largest "
-                             f"of the image height, width and {RADIUS_FLOOR}")
+    """Call make with the option values its parameters name, by library field."""
+    return make(**{name: values[_FLAG_OF[name]] for name in inspect.signature(make).parameters
+                   if _FLAG_OF.get(name) in values})
 
 
 def _read_image(path: str) -> ImageBuffer:
@@ -169,19 +135,16 @@ def cmd_filter(args, values: dict) -> int:
     if values["mode"] not in modes:
         raise ValueError(f"mode must be one of {', '.join(modes)}; got {values['mode']!r}")
     mode = FilterMode(values["mode"])
-    if values["passes"] > PASSES_LIMIT:
-        raise ValueError(f"passes must be <= {PASSES_LIMIT}, got {values['passes']:.6g}")
     params = _construct(FilterParams, values)
     # Only multilateral mode classifies texture; other modes never read, and
     # so never check, the texture settings.
-    multilateral = mode is FilterMode.MULTILATERAL
-    texture_params = _construct(TextureParams, values) if multilateral else None
+    texture_params = (_construct(TextureParams, values)
+                      if mode is FilterMode.MULTILATERAL else None)
     img = _read_image(args.input)
-    _check_radii(img, values, ("radius",) + (_TEXTURE_RADII if multilateral else ()))
-    _echo_config(values)
     start = time.perf_counter()
     out = filter_image(img, params, mode, texture_params=texture_params)
     elapsed = time.perf_counter() - start
+    _echo_config(values)
     print(f"filtered {img.width}x{img.height} in {elapsed:.3f}s "
           f"({elapsed / params.passes:.3f}s/pass)", file=sys.stderr)
     Path(args.output).write_bytes(save_pnm(out))
@@ -191,11 +154,10 @@ def cmd_filter(args, values: dict) -> int:
 def cmd_texture(args, values: dict) -> int:
     texture_params = _construct(TextureParams, values)
     img = _read_image(args.input)
-    _check_radii(img, values, _TEXTURE_RADII)
-    _echo_config(values)
     start = time.perf_counter()
     tex = compute_texture_map(img, texture_params)
     elapsed = time.perf_counter() - start
+    _echo_config(values)
     print(f"classified {img.width}x{img.height} in {elapsed:.3f}s", file=sys.stderr)
     Path(args.output).write_bytes(save_pnm(texture_map_image(tex)))
     return EXIT_OK
@@ -203,9 +165,9 @@ def cmd_texture(args, values: dict) -> int:
 
 def cmd_add_noise(args, values: dict) -> int:
     spec = _construct(NoiseSpec, values)
-    img = _read_image(args.input)
+    out = add_noise(_read_image(args.input), spec)
     _echo_config(values)
-    Path(args.output).write_bytes(save_pnm(add_noise(img, spec)))
+    Path(args.output).write_bytes(save_pnm(out))
     return EXIT_OK
 
 
@@ -302,8 +264,10 @@ def main(argv=None) -> int:
         print(f"edgekeep: error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
-        # invalid parameters, or a domain check such as metric image shapes
-        print(f"edgekeep: error: {exc}", file=sys.stderr)
+        # invalid parameters, or a domain check such as metric image shapes;
+        # a library message's leading field name becomes the flag name
+        message = re.sub(r"^\w+", lambda m: _FLAG_OF.get(m[0], m[0]), str(exc))
+        print(f"edgekeep: error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -29,11 +29,17 @@ from .image import (
     BoundaryPolicy,
     ImageBuffer,
     check_count,
+    check_radius,
     check_sigma,
     sample_at,
 )
 from .kernels import _halo, _run_bands
 from .texture import TextureMap, TextureParams, compute_texture_map, texture_distance
+
+
+#: The most passes FilterParams accepts: each pass costs a full filter run, and
+#: an unbounded count is an unbounded run time.
+PASSES_LIMIT = 100
 
 
 class FilterMode(Enum):
@@ -44,7 +50,8 @@ class FilterMode(Enum):
 
 @dataclass(frozen=True)
 class FilterParams:
-    """Window radius, the three weight scales, and the pass count.
+    """Window radius, the three weight scales, and the pass count, at most
+    PASSES_LIMIT.
 
     sigma_d is in pixels, sigma_r in intensity units (images live in [0, 1]),
     sigma_t is dimensionless and only read in multilateral mode. A sigma may
@@ -60,6 +67,8 @@ class FilterParams:
     def __post_init__(self):
         for name in ("window_radius", "passes"):
             object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        if self.passes > PASSES_LIMIT:
+            raise ValueError(f"passes must be <= {PASSES_LIMIT}, got {self.passes}")
         for name in ("sigma_d", "sigma_r", "sigma_t"):
             check_sigma(name, getattr(self, name))
 
@@ -256,10 +265,12 @@ def filter_image(img: ImageBuffer, params: FilterParams | None = None,
     map is honored for the first pass only. Average mode ignores all sigmas
     and returns the plain window mean. Output samples are clamped to [0, 1]
     after each pass (a no-op in exact arithmetic, since each output pixel is
-    a convex combination of window samples).
+    a convex combination of window samples). A window radius above the image
+    bound (image.check_radius) raises a ValueError before the first pass.
     """
     params = params or FilterParams()
     mode = FilterMode(mode)
+    check_radius("window_radius", params.window_radius, img.pixels.shape)
 
     current = img
     for pass_index in range(params.passes):

@@ -17,6 +17,11 @@ import numpy as np
 #: ITU-R BT.601 luma coefficients for RGB -> gray conversion.
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
+#: A radius above max(height, width, RADIUS_FLOOR) is rejected: past the image
+#: size it only repeats edge samples, while the padded fields grow with its
+#: square, so an unbounded radius is an unbounded allocation.
+RADIUS_FLOOR = 64
+
 
 class BoundaryPolicy(Enum):
     """How window coordinates outside the image are remapped to pixels."""
@@ -137,6 +142,16 @@ def check_sigma(name: str, value, finite: bool = False) -> None:
                          f"square and inverse square")
 
 
+def check_radius(name: str, value, shape, radius: int | None = None) -> None:
+    """A ValueError naming `name` unless the radius its `value` sets, `radius`
+    if given and `value` otherwise, is at most the largest of RADIUS_FLOOR and
+    the height and width of an image of `shape`."""
+    limit = max(shape[0], shape[1], RADIUS_FLOOR)
+    if (value if radius is None else radius) > limit:
+        raise ValueError(f"{name} {value} sets a radius above {limit}, the largest "
+                         f"of the image height, width and {RADIUS_FLOOR}")
+
+
 def to_grayscale(img: ImageBuffer) -> ImageBuffer:
     """BT.601 luma of an RGB image; a gray image is returned as it is, since
     buffers are immutable."""
@@ -144,8 +159,11 @@ def to_grayscale(img: ImageBuffer) -> ImageBuffer:
         return img
     r, g, b = img.pixels[..., 0], img.pixels[..., 1], img.pixels[..., 2]
     wr, wg, wb = LUMA_WEIGHTS
-    # This summation order keeps pure white at exactly 1.0.
-    luma = r * wr + (g * wg + b * wb)
+    # This summation order, r + (g + b), keeps pure white at exactly 1.0; the
+    # in-place sums make one temporary beside luma.
+    luma = g * wg
+    luma += b * wb
+    luma += r * wr
     return ImageBuffer._adopt(np.clip(luma, 0.0, 1.0, out=luma))
 
 

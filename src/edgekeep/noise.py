@@ -46,14 +46,14 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def salt_pepper_fields(spec: NoiseSpec, height: int, width: int):
-    """The (corruption mask, replacement values) pair a spec realizes.
+    """The (corruption mask, salt mask) pair a spec realizes: a corrupted
+    pixel becomes 1 where salt is set and 0 elsewhere.
 
     Exposed so tests can check which pixels a given seed touches.
     """
     rng = _rng(spec.seed)
     corrupt = rng.random((height, width)) < spec.density
-    salt = rng.random((height, width)) < 0.5
-    return corrupt, np.where(salt, 1.0, 0.0)
+    return corrupt, rng.random((height, width)) < 0.5
 
 
 def add_noise(img: ImageBuffer, spec: NoiseSpec) -> ImageBuffer:
@@ -64,9 +64,9 @@ def add_noise(img: ImageBuffer, spec: NoiseSpec) -> ImageBuffer:
     deviates per sample and clamps to [0, 1].
     """
     if spec.kind == "salt-pepper":
-        corrupt, values = salt_pepper_fields(spec, img.height, img.width)
+        corrupt, salt = salt_pepper_fields(spec, img.height, img.width)
         out = img.pixels.copy()
-        out.reshape(img.height, img.width, -1)[corrupt] = values[corrupt, np.newaxis]
+        out.reshape(img.height, img.width, -1)[corrupt] = salt[corrupt, np.newaxis]
         return ImageBuffer._adopt(out)
     deviates = _rng(spec.seed).normal(0.0, spec.std, size=img.pixels.shape)
     deviates += img.pixels

@@ -28,7 +28,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .image import BoundaryPolicy, ImageBuffer, check_count, check_sigma, to_grayscale
+from .image import (BoundaryPolicy, ImageBuffer, check_count, check_radius, check_sigma,
+                    to_grayscale)
 from .kernels import _run_bands, convolve, gaussian_derivative_taps, window_mean
 
 #: Sub-band orientations in their fixed order (degrees).
@@ -120,19 +121,16 @@ class TextureMap:
         return self.labels.shape
 
 
-def decompose(img, sigma_g: float = DEFAULT_SIGMA_G,
+def decompose(field: np.ndarray, sigma_g: float = DEFAULT_SIGMA_G,
               policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> tuple[np.ndarray, np.ndarray]:
-    """The steerable basis pair (bx, by): bx = d(u) g(v) and by = g(u) d(v),
-    separable convolutions over taps of radius steerable_radius(sigma_g),
-    each a row pass and a column pass over mirror-paired taps. Every
-    oriented band is a combination of the two (see steer)."""
+    """The steerable basis pair (bx, by) of an (h, w) array, such as a gray
+    image's pixels: bx = d(u) g(v) and by = g(u) d(v), separable convolutions
+    over taps of radius steerable_radius(sigma_g), each a row pass and a
+    column pass over mirror-paired taps. Every oriented band is a combination
+    of the two (see steer)."""
     check_sigma("sigma_g", sigma_g, finite=True)
-    if isinstance(img, ImageBuffer):
-        if img.channels != 1:
-            raise ValueError("texture analysis expects a gray image")
-        img = img.pixels
     g, d = gaussian_derivative_taps(sigma_g, steerable_radius(sigma_g))
-    return convolve(img, g, d, policy), convolve(img, d, g, policy)
+    return convolve(field, g, d, policy), convolve(field, d, g, policy)
 
 
 def steer(basis) -> np.ndarray:
@@ -238,10 +236,13 @@ def compute_texture_map(img: ImageBuffer, params: TextureParams | None = None,
     the three-rule classification.
 
     Color images are grayscale-converted first; texture is independent of
-    color.
+    color. An energy window or steerable radius above the image bound
+    (image.check_radius) raises a ValueError before any of that.
     """
     params = params or TextureParams()
-    energies = local_energy(decompose(to_grayscale(img), params.sigma_g, policy),
+    check_radius("energy_window_radius", params.energy_window_radius, img.pixels.shape)
+    check_radius("sigma_g", params.sigma_g, img.pixels.shape, steerable_radius(params.sigma_g))
+    energies = local_energy(decompose(to_grayscale(img).pixels, params.sigma_g, policy),
                             params.energy_window_radius, policy)
     return classify(energies, params)
 

@@ -157,7 +157,7 @@ def test_criterion_8_steering_identity():
     worst = 0.0
     for _ in range(10):
         img = ImageBuffer(rng.random((14, 13)))
-        bands = steer(decompose(img))
+        bands = steer(decompose(img.pixels))
         expected = (bands[0] + bands[1]) / math.sqrt(2.0)
         worst = max(worst, float(np.abs(bands[2] - expected).max()))
     ok = worst <= 1e-12

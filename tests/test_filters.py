@@ -128,6 +128,10 @@ def test_filter_params_validation_messages():
         FilterParams(window_radius=0)
     with pytest.raises(ValueError, match="passes"):
         FilterParams(passes=0)
+    assert FilterParams(passes=filters.PASSES_LIMIT).passes == 100
+    for passes in (101, 10**9):
+        with pytest.raises(ValueError, match="^passes must be <= 100, got"):
+            FilterParams(passes=passes)
     # A finite sigma whose square underflows to 0 or overflows is rejected;
     # inf (the documented limit) and large finite values stay valid.
     for name in ("sigma_d", "sigma_r", "sigma_t"):
@@ -153,6 +157,22 @@ def test_radii_and_pass_counts_must_be_integers(name):
             _COUNTS[name](bad)
     for good in (2, np.int64(2), np.uint8(2), np.int32(1)):
         _COUNTS[name](good)
+
+
+@pytest.mark.parametrize("shape, largest", [((8, 8), 64), ((2, 70), 70)])
+def test_window_radius_is_bounded_by_image_and_floor(shape, largest):
+    img = ImageBuffer(np.random.default_rng(23).random(shape))
+    assert filter_image(img, FilterParams(window_radius=largest)).pixels.shape == shape
+    with pytest.raises(ValueError, match=f"^window_radius {largest + 1} sets a radius above "
+                                         f"{largest}, the largest of the image height"):
+        filter_image(img, FilterParams(window_radius=largest + 1))
+
+
+def test_bilateral_mode_never_reads_the_texture_radii():
+    img = ImageBuffer(np.random.default_rng(24).random((8, 8)))
+    out = filter_image(img, FilterParams(), FilterMode.BILATERAL,
+                       texture_params=TextureParams(sigma_g=1e5))
+    assert np.array_equal(out.pixels, filter_image(img, FilterParams()).pixels)
 
 
 def test_numpy_integer_counts_are_kept_as_python_ints():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgekeep.image import (
+    LUMA_WEIGHTS,
     BoundaryPolicy,
     ImageBuffer,
     MalformedHeaderError,
@@ -191,6 +192,19 @@ def test_grayscale_weights():
     assert to_grayscale(red).pixels[0, 0] == 0.299
     green = ImageBuffer(np.array([[[0.0, 1.0, 0.0]]]))
     assert to_grayscale(green).pixels[0, 0] == pytest.approx(0.587, abs=1e-15)
+
+
+def test_grayscale_sums_in_place_with_unchanged_bits():
+    # luma = g * wg; luma += b * wb; luma += r * wr adds r + (g + b), as the
+    # white-preserving order does, with one temporary beside luma.
+    rng = np.random.default_rng(44)
+    img = ImageBuffer(rng.random((512, 512, 3)))
+    r, g, b = (img.pixels[..., k] for k in range(3))
+    wr, wg, wb = LUMA_WEIGHTS
+    expected = np.clip(r * wr + (g * wg + b * wb), 0.0, 1.0)
+    assert np.array_equal(to_grayscale(img).pixels, expected)
+    assert to_grayscale(ImageBuffer(np.ones((4, 4, 3)))).pixels.min() == 1.0
+    assert _traced_peak(lambda: to_grayscale(img)) <= 2.1 * expected.nbytes
 
 
 def test_grayscale_idempotent_exactly():

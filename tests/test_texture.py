@@ -1,6 +1,7 @@
 """Steerable decomposition, local energy, and texture classification tests."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -46,14 +47,14 @@ def interior(labels):
 # --- decomposition ---
 
 def test_constant_image_gives_zero_bands():
-    bands = steer(decompose(ImageBuffer(np.full((10, 10), 0.5))))
+    bands = steer(decompose(ImageBuffer(np.full((10, 10), 0.5)).pixels))
     assert np.abs(bands).max() <= 1e-10
 
 
 def test_band0_is_exactly_base_response():
     rng = np.random.default_rng(0)
     img = ImageBuffer(rng.random((9, 9)))
-    bands = steer(decompose(img))
+    bands = steer(decompose(img.pixels))
     g, d = gaussian_derivative_taps(1.0, steerable_radius(1.0))
     assert np.array_equal(bands[0], convolve(img.pixels, g, d))
     assert np.array_equal(bands[1], convolve(img.pixels, d, g))
@@ -61,7 +62,7 @@ def test_band0_is_exactly_base_response():
 
 def test_band45_is_steered_combination():
     rng = np.random.default_rng(1)
-    bands = steer(decompose(ImageBuffer(rng.random((8, 8)))))
+    bands = steer(decompose(ImageBuffer(rng.random((8, 8))).pixels))
     expected = (bands[0] + bands[1]) / math.sqrt(2.0)
     assert np.abs(bands[2] - expected).max() <= 1e-12
     expected_neg = (bands[0] - bands[1]) / math.sqrt(2.0)
@@ -74,14 +75,14 @@ def test_orientation_order_is_fixed():
 
 def test_decompose_rejects_rgb():
     with pytest.raises(ValueError):
-        decompose(ImageBuffer(np.zeros((4, 4, 3))))
+        decompose(ImageBuffer(np.zeros((4, 4, 3))).pixels)
 
 
 @pytest.mark.parametrize("sigma_g", [0.0, -1.0, math.inf, math.nan, 1e-300, 1e-160, 1e300])
 def test_decompose_rejects_out_of_range_sigma_g(sigma_g):
     img = ImageBuffer(np.full((8, 8), 0.5))
     with pytest.raises(ValueError, match="sigma_g"):
-        decompose(img, sigma_g)
+        decompose(img.pixels, sigma_g)
     with pytest.raises(ValueError, match="sigma_g"):
         compute_texture_map(img, TextureParams(sigma_g=sigma_g))
 
@@ -349,6 +350,19 @@ def test_texture_params_validation():
         TextureParams(complex_ratio=0.0)
     with pytest.raises(ValueError):
         TextureParams(complex_ratio=1.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("energy_window_radius", 65), ("sigma_g", 21.5), ("sigma_g", 1e5), ("sigma_g", 1e150),
+])  # sigma_g 21.5 sets radius 66
+def test_texture_radii_are_bounded_by_image_and_floor(field, value):
+    img = ImageBuffer(np.random.default_rng(25).random((8, 8)))
+    message = re.escape(f"{field} {value} sets a radius above 64")
+    with pytest.raises(ValueError, match=f"^{message}"):
+        compute_texture_map(img, TextureParams(**{field: value}))
+    # The largest radii the bound allows still run.
+    for ok in (TextureParams(energy_window_radius=64), TextureParams(sigma_g=21.0)):
+        assert compute_texture_map(img, ok).shape == (8, 8)
 
 
 # --- row bands ---

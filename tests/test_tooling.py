@@ -1,11 +1,16 @@
-"""Benchmark tooling: the traced function names and the perf-record script."""
+"""Tooling: the traced function names, the perf-record script, and the README's
+figures for the library's bounds."""
 
 import ast
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
+
+from edgekeep.filters import PASSES_LIMIT
+from edgekeep.image import RADIUS_FLOOR
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -31,6 +36,15 @@ def test_every_traced_function_resolves_in_the_package():
         if not callable(getattr(mod, function, None)):
             missing.append(f"{module}.{function}")
     assert missing == []
+
+
+def test_readme_bounds_match_the_library():
+    # The one bound rule lives in the library; its documented figures follow it.
+    readme = (SPANS.parent.parent / "README.md").read_text()
+    paragraph = readme[readme.index("\nParameter checks:"):].split("\n\n")[0]
+    text = " ".join(paragraph.split())
+    assert re.findall(r"more than (\d+) passes", text) == [str(PASSES_LIMIT)]
+    assert re.findall(r"height, width and (\d+)", text) == [str(RADIUS_FLOOR)]
 
 
 def _load_bench_record():
