@@ -13,7 +13,6 @@ from .filters import (
     filter_oracle,
 )
 from .image import (
-    BoundaryPolicy,
     ImageBuffer,
     MalformedHeaderError,
     PnmError,

@@ -2,19 +2,20 @@
 
 The optimized engine cuts each pass into row bands of about
 kernels._BAND_SAMPLES padded channel-samples and runs them on the package's
-band threads (kernels._run_bands); each band pads its own rows (kernels._halo)
-into channel planes, walks window offsets as contiguous shifts of those planes
-flattened, and writes its rows of the output in place. Every pixel sees the same
-operations in the same order whatever the band size or core count, so the
-output depends on neither.
+band threads (kernels._run_bands); each band pads its own rows into channel
+planes (kernels._halo, which repeats the edge rows and columns), walks window
+offsets as contiguous shifts of those planes flattened, and writes its rows of
+the output in place. Every pixel sees the same operations in the same order
+whatever the band size or core count, so the output depends on neither.
 The oracle variant is a literal per-pixel transcription kept for equivalence
-testing; it samples pixels and labels through image.sample_at, gray and RGB
-alike. Every weight factor is symmetric in the pixel pair, so the engine
-computes one weight per unordered pair, w(x, x + d) == w(x + d, x), and
-applies it to all channels and to both ends of the pair. Each window is
-summed in mirror quads, {+d, -d} pairs whose total no horizontal or vertical
-flip changes, so flipped inputs produce exactly flipped outputs. A weight is
-one exp of its summed exponents, floored at -700 where exp would slow.
+testing; it samples pixels and labels, gray and RGB alike, through
+image.sample_at, which clamps coordinates to the nearest edge pixel. Every
+weight factor is symmetric in the pixel pair, so the engine computes one
+weight per unordered pair, w(x, x + d) == w(x + d, x), and applies it to all
+channels and to both ends of the pair. Each window is summed in mirror quads,
+{+d, -d} pairs whose total no horizontal or vertical flip changes, so flipped
+inputs produce exactly flipped outputs. A weight is one exp of its summed
+exponents, floored at -700 where exp would slow.
 """
 
 from __future__ import annotations
@@ -25,14 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .image import (
-    BoundaryPolicy,
-    ImageBuffer,
-    check_count,
-    check_radius,
-    check_sigma,
-    sample_at,
-)
+from .image import ImageBuffer, check_count, check_radius, check_sigma, sample_at
 from .kernels import _halo, _run_bands
 from .texture import TextureMap, TextureParams, compute_texture_map, texture_distance
 
@@ -73,40 +67,38 @@ class FilterParams:
             check_sigma(name, getattr(self, name))
 
 
-def weight_bilateral(x, xi, img: ImageBuffer, params: FilterParams,
-                     policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> float:
+def weight_bilateral(x, xi, img: ImageBuffer, params: FilterParams) -> float:
     """Spatial-closeness times range-similarity weight for the pair (x, xi).
 
     Spatial distance is Euclidean over coordinates; range distance is
     Euclidean over intensity (scalar for gray, 3-vector for RGB). Samples at
-    out-of-image coordinates fold per `policy`.
+    out-of-image coordinates are those of the nearest edge pixel.
     """
     dx = float(xi[0] - x[0])
     dy = float(xi[1] - x[1])
     spatial_sq = dx * dx + dy * dy
-    d = sample_at(img.pixels, xi, policy) - sample_at(img.pixels, x, policy)
+    d = sample_at(img.pixels, xi) - sample_at(img.pixels, x)
     range_sq = float(np.dot(d, d))
     return (math.exp(-0.5 * spatial_sq / (params.sigma_d ** 2))
             * math.exp(-0.5 * range_sq / (params.sigma_r ** 2)))
 
 
-def weight_multilateral(x, xi, img: ImageBuffer, tex: TextureMap, params: FilterParams,
-                        policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> float:
+def weight_multilateral(x, xi, img: ImageBuffer, tex: TextureMap,
+                        params: FilterParams) -> float:
     """Bilateral weight times the texture-similarity factor."""
-    d = texture_distance(sample_at(tex.labels, x, policy), sample_at(tex.labels, xi, policy))
+    d = texture_distance(sample_at(tex.labels, x), sample_at(tex.labels, xi))
     texture_factor = math.exp(-0.5 * (d * d) / (params.sigma_t ** 2))
-    return weight_bilateral(x, xi, img, params, policy) * texture_factor
+    return weight_bilateral(x, xi, img, params) * texture_factor
 
 
 def _resolve_texture(current: ImageBuffer, pass_index: int, supplied: TextureMap | None,
-                     texture_params: TextureParams | None,
-                     policy: BoundaryPolicy) -> TextureMap:
+                     texture_params: TextureParams | None) -> TextureMap:
     # A caller-supplied map covers the first pass; later passes reclassify
     # the pass input.
     if pass_index == 0 and supplied is not None:
         tex = supplied
     else:
-        tex = compute_texture_map(current, texture_params, policy)
+        tex = compute_texture_map(current, texture_params)
     if tex.shape != (current.height, current.width):
         raise ValueError(
             f"texture map shape {tex.shape} does not match image "
@@ -227,7 +219,7 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
 
 
 def _filter_pass(pixels: np.ndarray, mode: FilterMode, params: FilterParams,
-                 policy: BoundaryPolicy, labels: np.ndarray | None) -> np.ndarray:
+                 labels: np.ndarray | None) -> np.ndarray:
     """One pass over (h, w) or (h, w, 3) samples, in row bands on the band
     threads, into a new array of their shape."""
     out = np.empty(pixels.shape)
@@ -244,9 +236,9 @@ def _filter_pass(pixels: np.ndarray, mode: FilterMode, params: FilterParams,
         if worker not in scratches:
             scratches[worker] = _Scratch(c, y1 - y0 + 1, w, m)
         scratch, rows = scratches[worker], (y1 - y0 + 2 * m, w + 2 * m)
-        band_planes = _halo(pixels, y0, y1, m, policy, _Scratch.take(scratch.planes, c, *rows))
+        band_planes = _halo(pixels, y0, y1, m, _Scratch.take(scratch.planes, c, *rows))
         band_labels = None if labels is None else _halo(
-            labels, y0, y1, m, policy, _Scratch.take(scratch.labels, *rows)).ravel()
+            labels, y0, y1, m, _Scratch.take(scratch.labels, *rows)).ravel()
         _filter_band(band_planes, band_labels, params, weighted, scratch, planes[:, y0:y1])
 
     _run_bands(h, c * (w + 2 * m), band)
@@ -255,7 +247,6 @@ def _filter_pass(pixels: np.ndarray, mode: FilterMode, params: FilterParams,
 
 def filter_image(img: ImageBuffer, params: FilterParams | None = None,
                  mode: FilterMode | str = FilterMode.BILATERAL,
-                 policy: BoundaryPolicy = BoundaryPolicy.REPLICATE,
                  texture: TextureMap | None = None, *,
                  texture_params: TextureParams | None = None) -> ImageBuffer:
     """Run the selected filter for params.passes passes.
@@ -275,15 +266,14 @@ def filter_image(img: ImageBuffer, params: FilterParams | None = None,
     current = img
     for pass_index in range(params.passes):
         labels = None if mode is not FilterMode.MULTILATERAL else _resolve_texture(
-            current, pass_index, texture, texture_params, policy).labels
-        current = ImageBuffer._adopt(_filter_pass(current.pixels, mode, params, policy, labels))
+            current, pass_index, texture, texture_params).labels
+        current = ImageBuffer._adopt(_filter_pass(current.pixels, mode, params, labels))
         del labels  # not held through the next pass
     return current
 
 
 def filter_oracle(img: ImageBuffer, params: FilterParams | None = None,
                   mode: FilterMode | str = FilterMode.BILATERAL,
-                  policy: BoundaryPolicy = BoundaryPolicy.REPLICATE,
                   texture: TextureMap | None = None, *,
                   texture_params: TextureParams | None = None) -> ImageBuffer:
     """Literal nested-loop transcription of the filter; test oracle only.
@@ -300,7 +290,7 @@ def filter_oracle(img: ImageBuffer, params: FilterParams | None = None,
     for pass_index in range(params.passes):
         tex = None
         if mode is FilterMode.MULTILATERAL:
-            tex = _resolve_texture(current, pass_index, texture, texture_params, policy)
+            tex = _resolve_texture(current, pass_index, texture, texture_params)
         out = np.empty(current.pixels.shape)
         for y in range(current.height):
             for x in range(current.width):
@@ -311,11 +301,10 @@ def filter_oracle(img: ImageBuffer, params: FilterParams | None = None,
                         if mode is FilterMode.AVERAGE:
                             weight = 1.0
                         elif mode is FilterMode.BILATERAL:
-                            weight = weight_bilateral((x, y), xi, current, params, policy)
+                            weight = weight_bilateral((x, y), xi, current, params)
                         else:
-                            weight = weight_multilateral((x, y), xi, current, tex,
-                                                         params, policy)
-                        accum = accum + sample_at(current.pixels, xi, policy) * weight
+                            weight = weight_multilateral((x, y), xi, current, tex, params)
+                        accum = accum + sample_at(current.pixels, xi) * weight
                         total += weight
                 out[y, x] = accum / total
         current = ImageBuffer(np.clip(out, 0.0, 1.0))

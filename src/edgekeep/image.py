@@ -1,4 +1,4 @@
-"""Image buffers, boundary-aware pixel addressing, grayscale conversion, PNM I/O.
+"""Image buffers, edge-clamped pixel addressing, grayscale conversion, PNM I/O.
 
 Samples are kept as float64 in [0, 1] for the whole pipeline; quantization to
 8 bits happens only when a file is written. Pixel coordinates are (x, y) =
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,13 +20,6 @@ LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 #: size it only repeats edge samples, while the padded fields grow with its
 #: square, so an unbounded radius is an unbounded allocation.
 RADIUS_FLOOR = 64
-
-
-class BoundaryPolicy(Enum):
-    """How window coordinates outside the image are remapped to pixels."""
-
-    REPLICATE = "replicate"
-    MIRROR = "mirror"
 
 
 class PnmError(ValueError):
@@ -95,25 +87,13 @@ class ImageBuffer:
         return 1 if self.pixels.ndim == 2 else 3
 
 
-def fold_index(i: int, n: int, policy: BoundaryPolicy) -> int:
-    """Map an arbitrary integer coordinate into [0, n) per boundary policy."""
-    if policy is BoundaryPolicy.REPLICATE:
-        return min(max(i, 0), n - 1)
-    if n == 1:
-        return 0
-    period = 2 * n - 2
-    i %= period
-    return period - i if i >= n else i
-
-
-def sample_at(field: np.ndarray, xy, policy: BoundaryPolicy = BoundaryPolicy.REPLICATE):
+def sample_at(field: np.ndarray, xy):
     """field[row, col] at pixel (x, y) of an (h, w) or (h, w, c) array, such as
-    an image's pixels or a texture map's labels; out-of-range coordinates fold
-    per `policy`. A scalar for an (h, w) field, a length-c vector otherwise.
-    """
+    an image's pixels or a texture map's labels, with coordinates clamped to
+    the array: a scalar for an (h, w) field, a length-c vector otherwise."""
     x, y = xy
     h, w = field.shape[:2]
-    return field[fold_index(int(y), h, policy), fold_index(int(x), w, policy)]
+    return field[min(max(int(y), 0), h - 1), min(max(int(x), 0), w - 1)]
 
 
 def check_count(name: str, value, minimum: int | None = 1) -> int:
@@ -146,7 +126,7 @@ def check_radius(name: str, value, shape, radius: int | None = None) -> None:
     """A ValueError naming `name` unless the radius its `value` sets, `radius`
     if given and `value` otherwise, is at most the largest of RADIUS_FLOOR and
     the height and width of an image of `shape`."""
-    limit = max(shape[0], shape[1], RADIUS_FLOOR)
+    limit = max((*shape[:2], RADIUS_FLOOR))
     if (value if radius is None else radius) > limit:
         raise ValueError(f"{name} {value} sets a radius above {limit}, the largest "
                          f"of the image height, width and {RADIUS_FLOOR}")

@@ -5,11 +5,12 @@ Both texture kernels are separable: the steerable derivative pair is
 d(u) g(v) and g(u) d(v), and the energy window is a box. Each is applied as
 a row pass over a band's padded rows followed by a column pass. No
 whole-field padded copy is made: each band builds its own halo, slicing the
-rows inside the image and folding only those outside it. Every pass sums
-mirror-paired taps, P(x - k) + P(x + k) for an even pair and
-P(x - k) - P(x + k) for an odd pair, before multiplying once, so a
-horizontal or vertical flip of the input flips an even pass's output
-exactly and negates an odd pass's output exactly.
+rows inside the image and repeating the edge row or column outside it, the
+package's one boundary rule. Every pass sums mirror-paired taps,
+P(x - k) + P(x + k) for an even pair and P(x - k) - P(x + k) for an odd
+pair, before multiplying once, so a horizontal or vertical flip of the input
+flips an even pass's output exactly and negates an odd pass's output
+exactly.
 
 These passes, the texture energies and labels, and the filter passes run in
 row bands of about _BAND_SAMPLES samples on one thread pool (_run_bands).
@@ -25,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .image import BoundaryPolicy, check_count, fold_index
+from .image import check_count, check_radius, check_sigma
 
 #: Samples per row band (512 KiB of float64): enough numpy work per band to
 #: outweigh the Python between calls, which holds the GIL, and few enough for
@@ -100,8 +101,7 @@ def gaussian_derivative_taps(sigma: float, radius: int) -> tuple[np.ndarray, np.
     unnormalized. The x-derivative kernel is outer(g, d) (rows v, columns u),
     which responds to variation along x; the y kernel is outer(d, g).
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    check_sigma("sigma", sigma, finite=True)
     radius = check_count("radius", radius)
     u = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-(u * u) / (2.0 * sigma * sigma))
@@ -146,44 +146,43 @@ def _taps_pass(src: np.ndarray, taps: np.ndarray, axis: int,
     return out
 
 
-def _halo(field: np.ndarray, y0: int, y1: int, r: int, policy: BoundaryPolicy,
+def _halo(field: np.ndarray, y0: int, y1: int, r: int,
           out: np.ndarray | None = None) -> np.ndarray:
-    """Rows y0 - r to y1 + r of `field` padded by r per `policy` (fold_index),
-    as a (y1 - y0 + 2r, w + 2r) slab, or for an (h, w, c) field its c channel
-    planes (c, y1 - y0 + 2r, w + 2r), written to `out` when given. Rows inside
-    the image are one slice copy; only the rows and columns outside it fold."""
+    """Rows y0 - r to y1 + r of `field`, padded by r copies of its edge rows and
+    columns, as a (y1 - y0 + 2r, w + 2r) slab, or for an (h, w, c) field its c
+    channel planes (c, y1 - y0 + 2r, w + 2r), written to `out` when given."""
     h, w = field.shape[:2]
-
-    def fold(start: int, stop: int, n: int) -> np.ndarray:
-        return np.array([fold_index(i, n, policy) for i in range(start, stop)], dtype=np.intp)
-
     lo, hi = max(y0 - r, 0), min(y1 + r, h)
     top, inside = lo - (y0 - r), hi - lo
     if out is None:
         out = np.empty(field.shape[2:] + (y1 - y0 + 2 * r, w + 2 * r), field.dtype)
     slab = out if field.ndim == 2 else np.moveaxis(out, 0, -1)  # the field's axis order
     core = slab[:, r:r + w]
-    core[:top] = field[fold(y0 - r, lo, h)]
+    core[:top] = field[0]
     core[top:top + inside] = field[lo:hi]
-    core[top + inside:] = field[fold(hi, y1 + r, h)]
-    slab[:, :r] = core[:, fold(-r, 0, w)]
-    slab[:, r + w:] = core[:, fold(w, w + r, w)]
+    core[top + inside:] = field[h - 1]
+    slab[:, :r] = core[:, :1]
+    slab[:, r + w:] = core[:, w - 1:w]
     return out
 
 
 def _separable(field: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,
-               out: np.ndarray, policy: BoundaryPolicy, divisor: float = 1.0) -> np.ndarray:
-    """Row pass, then column pass, over `field` padded by the taps' radius per
-    `policy`, into `out`, each sample then divided by `divisor` unless it is 1;
-    a row band at a time, each band padding its own rows (_halo) and each
-    sample seeing the same operations in any band.
+               out: np.ndarray, divisor: float = 1.0) -> np.ndarray:
+    """Row pass, then column pass, over `field` padded by the taps' radius,
+    into `out`, each sample then divided by `divisor` unless it is 1; a row
+    band at a time, each band padding its own rows (_halo) and each sample
+    seeing the same operations in any band. A radius above the image bound
+    (image.check_radius) raises a ValueError first; an empty field gives `out`.
     """
     if field.ndim != 2:
         raise ValueError(f"expected an (h, w) field, got shape {field.shape}")
     r = len(row_taps) // 2
+    check_radius("radius", r, field.shape)
+    if not field.size:
+        return out
 
     def band(y0: int, y1: int, worker: int) -> None:
-        rows = _taps_pass(_halo(field, y0, y1, r, policy), row_taps, 1)
+        rows = _taps_pass(_halo(field, y0, y1, r), row_taps, 1)
         _taps_pass(rows, col_taps, 0, out[y0:y1])
         if divisor != 1.0:
             np.divide(out[y0:y1], divisor, out=out[y0:y1])
@@ -192,8 +191,7 @@ def _separable(field: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,
     return out
 
 
-def convolve(field, col_taps, row_taps,
-             policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> np.ndarray:
+def convolve(field, col_taps, row_taps) -> np.ndarray:
     """True convolution with the separable kernel outer(col_taps, row_taps).
 
     out(x, y) = sum over (u, v) of col_taps[v + r] * row_taps[u + r] *
@@ -209,11 +207,10 @@ def convolve(field, col_taps, row_taps,
     if row_taps.ndim != 1 or len(row_taps) % 2 != 1 or col_taps.shape != row_taps.shape:
         raise ValueError(f"taps must be 1-D, of one odd length, got shapes "
                          f"{col_taps.shape} and {row_taps.shape}")
-    return _separable(field, col_taps, row_taps, np.empty(field.shape), policy)
+    return _separable(field, col_taps, row_taps, np.empty(field.shape))
 
 
-def window_mean(field: np.ndarray, radius: int,
-                policy: BoundaryPolicy = BoundaryPolicy.REPLICATE, *,
+def window_mean(field: np.ndarray, radius: int, *,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Mean of `field` over the (2r+1)^2 window centered at each pixel,
     written to `out` (a float64 array of the field's shape) when given.
@@ -226,4 +223,4 @@ def window_mean(field: np.ndarray, radius: int,
     side = 2 * radius + 1
     ones = np.ones(side)
     return _separable(field, ones, ones, np.empty(field.shape) if out is None else out,
-                      policy, float(side * side))
+                      float(side * side))

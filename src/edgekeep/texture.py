@@ -28,8 +28,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .image import (BoundaryPolicy, ImageBuffer, check_count, check_radius, check_sigma,
-                    to_grayscale)
+from .image import ImageBuffer, check_count, check_radius, check_sigma, to_grayscale
 from .kernels import _run_bands, convolve, gaussian_derivative_taps, window_mean
 
 #: Sub-band orientations in their fixed order (degrees).
@@ -121,16 +120,18 @@ class TextureMap:
         return self.labels.shape
 
 
-def decompose(field: np.ndarray, sigma_g: float = DEFAULT_SIGMA_G,
-              policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> tuple[np.ndarray, np.ndarray]:
+def decompose(field: np.ndarray,
+              sigma_g: float = DEFAULT_SIGMA_G) -> tuple[np.ndarray, np.ndarray]:
     """The steerable basis pair (bx, by) of an (h, w) array, such as a gray
     image's pixels: bx = d(u) g(v) and by = g(u) d(v), separable convolutions
     over taps of radius steerable_radius(sigma_g), each a row pass and a
     column pass over mirror-paired taps. Every oriented band is a combination
-    of the two (see steer)."""
+    of the two (see steer). A radius above the image bound
+    (image.check_radius) raises a ValueError before the taps are built."""
     check_sigma("sigma_g", sigma_g, finite=True)
+    check_radius("sigma_g", sigma_g, np.shape(field), steerable_radius(sigma_g))
     g, d = gaussian_derivative_taps(sigma_g, steerable_radius(sigma_g))
-    return convolve(field, g, d, policy), convolve(field, d, g, policy)
+    return convolve(field, g, d), convolve(field, d, g)
 
 
 def steer(basis) -> np.ndarray:
@@ -144,8 +145,7 @@ def steer(basis) -> np.ndarray:
     return np.stack([c * bx + s * by for c, s in _STEERING])
 
 
-def local_energy(basis, window_radius: int = 2,
-                 policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> np.ndarray:
+def local_energy(basis, window_radius: int = 2) -> np.ndarray:
     """Windowed mean energies of the four steered bands, (4, h, w), all >= 0.
 
     Equal, up to rounding, to the window means of the squared steer(basis)
@@ -169,7 +169,7 @@ def local_energy(basis, window_radius: int = 2,
     for a, b, plane in ((bx, bx, 0), (by, by, 1), (bx, by, 3)):
         _run_bands(*bx.shape, lambda y0, y1, worker, a=a, b=b:
                    np.multiply(a[y0:y1], b[y0:y1], out=product[y0:y1]))
-        window_mean(product, window_radius, policy, out=energies[plane])
+        window_mean(product, window_radius, out=energies[plane])
 
     def combine(y0: int, y1: int, worker: int) -> None:
         e = energies[:, y0:y1]
@@ -230,20 +230,19 @@ def classify(energies: np.ndarray, params: TextureParams | None = None) -> Textu
     return TextureMap(labels)
 
 
-def compute_texture_map(img: ImageBuffer, params: TextureParams | None = None,
-                        policy: BoundaryPolicy = BoundaryPolicy.REPLICATE) -> TextureMap:
+def compute_texture_map(img: ImageBuffer, params: TextureParams | None = None) -> TextureMap:
     """Steerable basis at params.sigma_g, its four orientation energies, then
     the three-rule classification.
 
     Color images are grayscale-converted first; texture is independent of
-    color. An energy window or steerable radius above the image bound
-    (image.check_radius) raises a ValueError before any of that.
+    color. An energy window radius above the image bound (image.check_radius)
+    raises a ValueError before any of that; decompose checks the steerable
+    radius.
     """
     params = params or TextureParams()
     check_radius("energy_window_radius", params.energy_window_radius, img.pixels.shape)
-    check_radius("sigma_g", params.sigma_g, img.pixels.shape, steerable_radius(params.sigma_g))
-    energies = local_energy(decompose(to_grayscale(img).pixels, params.sigma_g, policy),
-                            params.energy_window_radius, policy)
+    energies = local_energy(decompose(to_grayscale(img).pixels, params.sigma_g),
+                            params.energy_window_radius)
     return classify(energies, params)
 
 

@@ -22,13 +22,11 @@ from edgekeep.filters import (
     weight_bilateral,
     weight_multilateral,
 )
-from edgekeep.image import BoundaryPolicy, ImageBuffer
+from edgekeep.image import ImageBuffer
 from edgekeep.noise import NoiseSpec, add_noise
 from edgekeep.synth import grating, step_edge
 from edgekeep.texture import TextureMap, TextureParams, compute_texture_map
 
-REPLICATE = BoundaryPolicy.REPLICATE
-MIRROR = BoundaryPolicy.MIRROR
 MODES = (FilterMode.AVERAGE, FilterMode.BILATERAL, FilterMode.MULTILATERAL)
 
 
@@ -217,12 +215,11 @@ def test_infinite_sigma_t_multilateral_is_bilateral_bit_for_bit():
     rng = np.random.default_rng(12)
     for shape in ((17, 13), (9, 11, 3)):
         img = ImageBuffer(rng.random(shape))
-        for policy in (REPLICATE, MIRROR):
-            for params in (FilterParams(sigma_t=math.inf),
-                           FilterParams(window_radius=3, sigma_t=math.inf, passes=2)):
-                multi = filter_image(img, params, FilterMode.MULTILATERAL, policy)
-                bi = filter_image(img, params, FilterMode.BILATERAL, policy)
-                assert np.array_equal(multi.pixels, bi.pixels), (shape, policy)
+        for params in (FilterParams(sigma_t=math.inf),
+                       FilterParams(window_radius=3, sigma_t=math.inf, passes=2)):
+            multi = filter_image(img, params, FilterMode.MULTILATERAL)
+            bi = filter_image(img, params, FilterMode.BILATERAL)
+            assert np.array_equal(multi.pixels, bi.pixels), shape
 
 
 @pytest.mark.parametrize("sigma_t", [0.1, 0.05])
@@ -279,17 +276,16 @@ def _check_mirror_equivariance(monkeypatch, band_rows, workers):
             img = ImageBuffer(rng.random(shape))
             # About 2 rows per band at both radii.
             _use_bands(monkeypatch, img, 3, band_rows, workers)
-            for policy in (REPLICATE, MIRROR):
-                tex = compute_texture_map(img, policy=policy)
-                for axis in (1, 0):
-                    flipped = ImageBuffer(np.flip(img.pixels, axis))
-                    tex_flipped = TextureMap(labels=np.flip(tex.labels, axis))
-                    for params in (FilterParams(), FilterParams(window_radius=3)):
-                        for mode in MODES:
-                            a = filter_image(img, params, mode, policy, tex)
-                            b = filter_image(flipped, params, mode, policy, tex_flipped)
-                            assert np.array_equal(np.flip(a.pixels, axis), b.pixels), \
-                                (shape, axis, policy, params.window_radius, mode)
+            tex = compute_texture_map(img)
+            for axis in (1, 0):
+                flipped = ImageBuffer(np.flip(img.pixels, axis))
+                tex_flipped = TextureMap(labels=np.flip(tex.labels, axis))
+                for params in (FilterParams(), FilterParams(window_radius=3)):
+                    for mode in MODES:
+                        a = filter_image(img, params, mode, tex)
+                        b = filter_image(flipped, params, mode, tex_flipped)
+                        assert np.array_equal(np.flip(a.pixels, axis), b.pixels), \
+                            (shape, axis, params.window_radius, mode)
 
 
 def test_horizontal_mirror_equivariance_is_exact(monkeypatch):
@@ -341,10 +337,10 @@ def test_texture_dimension_mismatch_raises():
 
 # --- row bands ---
 
-def _one_band(img, params, mode, policy):
+def _one_band(img, params, mode):
     with pytest.MonkeyPatch.context() as mp:
         _use_bands(mp, img, params.window_radius, None, 1)
-        return filter_image(img, params, mode, policy).pixels
+        return filter_image(img, params, mode).pixels
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,13 +351,12 @@ def test_banded_output_is_bit_identical_to_one_band(data):
     img = ImageBuffer(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(shape))
     params = FilterParams(window_radius=data.draw(st.integers(1, 6)))
     mode = data.draw(st.sampled_from(MODES))
-    policy = data.draw(st.sampled_from((REPLICATE, MIRROR)))
     rows = data.draw(st.integers(1, h))  # the radius often exceeds the band height
     workers = data.draw(st.sampled_from((1, 2)))
-    expected = _one_band(img, params, mode, policy)
+    expected = _one_band(img, params, mode)
     with pytest.MonkeyPatch.context() as mp:
         _use_bands(mp, img, params.window_radius, rows, workers)
-        assert np.array_equal(filter_image(img, params, mode, policy).pixels, expected)
+        assert np.array_equal(filter_image(img, params, mode).pixels, expected)
 
 
 def test_multi_band_matches_oracle(monkeypatch):
@@ -397,7 +392,7 @@ def test_image_within_band_budget_never_uses_pool(monkeypatch):
 def test_concurrent_callers_get_the_sequential_output(monkeypatch):
     img = ImageBuffer(np.random.default_rng(18).random((45, 37, 3)))
     params = FilterParams(window_radius=3, passes=2)
-    expected = {mode: _one_band(img, params, mode, REPLICATE) for mode in MODES}
+    expected = {mode: _one_band(img, params, mode) for mode in MODES}
     _use_bands(monkeypatch, img, 3, 4, 2)
     start = threading.Barrier(2)
     results = {}
@@ -458,7 +453,7 @@ def test_public_functions_run_on_the_calling_thread_only(monkeypatch):
 def test_forked_child_runs_banded_passes(monkeypatch):
     # The child inherits the parent's pool object but none of its threads.
     img = ImageBuffer(np.random.default_rng(19).random((30, 20)))
-    expected = _one_band(img, FilterParams(), FilterMode.BILATERAL, REPLICATE)
+    expected = _one_band(img, FilterParams(), FilterMode.BILATERAL)
     _use_bands(monkeypatch, img, 2, 4, 2)
     filter_image(img)  # starts the pool in this process
     pid = os.fork()
@@ -488,11 +483,10 @@ def test_engine_matches_oracle_small_images():
         shape = (h, w) if channels == 1 else (h, w, 3)
         img = ImageBuffer(rng.random(shape))
         params = FilterParams(window_radius=2)
-        for policy in (REPLICATE, MIRROR):
-            for mode in MODES:
-                fast = filter_image(img, params, mode, policy)
-                slow = filter_oracle(img, params, mode, policy)
-                assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12
+        for mode in MODES:
+            fast = filter_image(img, params, mode)
+            slow = filter_oracle(img, params, mode)
+            assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12
 
 
 def test_engine_matches_oracle_multipass_and_params():
@@ -511,25 +505,23 @@ def test_engine_matches_oracle_window_larger_than_image():
     params = FilterParams(window_radius=4)
     for shape in ((1, 1), (1, 5), (3, 2), (2, 7, 3)):
         img = ImageBuffer(rng.random(shape))
-        for policy in (REPLICATE, MIRROR):
-            for mode in MODES:
-                fast = filter_image(img, params, mode, policy)
-                slow = filter_oracle(img, params, mode, policy)
-                assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12, (shape, policy, mode)
+        for mode in MODES:
+            fast = filter_image(img, params, mode)
+            slow = filter_oracle(img, params, mode)
+            assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12, (shape, mode)
 
 
-@pytest.mark.parametrize("policy", [REPLICATE, MIRROR])
 @pytest.mark.parametrize("shape, mode, params", [
     ((13, 17, 3), FilterMode.BILATERAL, FilterParams(sigma_r=0.01)),
     ((15, 19), FilterMode.MULTILATERAL, FilterParams(sigma_t=0.02)),
     ((15, 19), FilterMode.MULTILATERAL, FilterParams(sigma_t=0.05)),
 ], ids=["rgb-bilateral-sigma_r-0.01", "multilateral-sigma_t-0.02", "multilateral-sigma_t-0.05"])
-def test_engine_matches_oracle_where_exp_underflows(monkeypatch, shape, mode, params, policy):
+def test_engine_matches_oracle_where_exp_underflows(monkeypatch, shape, mode, params):
     # Many weights here lie below e^-700 or underflow to 0 in the oracle.
     img = ImageBuffer(np.random.default_rng(18).random(shape))
     _use_bands(monkeypatch, img, params.window_radius, 3, 2)
-    fast = filter_image(img, params, mode, policy)
-    slow = filter_oracle(img, params, mode, policy)
+    fast = filter_image(img, params, mode)
+    slow = filter_oracle(img, params, mode)
     assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12
 
 
@@ -545,13 +537,12 @@ def test_engine_matches_oracle_fuzzed(data):
                           sigma_t=data.draw(st.sampled_from((0.2, 1.0))),
                           passes=data.draw(st.integers(1, 2)))
     mode = data.draw(st.sampled_from(MODES))
-    policy = data.draw(st.sampled_from((REPLICATE, MIRROR)))
     tex = TextureMap(rng.integers(0, 6, size=(h, w))) if mode is FilterMode.MULTILATERAL else None
     with pytest.MonkeyPatch.context() as mp:
         _use_bands(mp, img, params.window_radius, data.draw(st.integers(1, h)),
                    data.draw(st.sampled_from((1, 2))))
-        fast = filter_image(img, params, mode, policy, tex)
-    slow = filter_oracle(img, params, mode, policy, tex)
+        fast = filter_image(img, params, mode, tex)
+    slow = filter_oracle(img, params, mode, tex)
     assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12
 
 
@@ -604,8 +595,8 @@ def test_filter_output_is_read_only():
 
 
 def test_one_row_bands_under_windows_wider_than_the_image(monkeypatch):
-    # Every band is one row, and each halo folds the mirrored image more than
-    # once over: radius 7 on a side of 3 to 5 rows or columns.
+    # Every band is one row, and each halo repeats the edge rows and columns
+    # for more than the image's side: radius 7 on a side of 3 to 5.
     rng = np.random.default_rng(23)
     params = FilterParams(window_radius=7, sigma_r=0.3, sigma_t=0.5)
     for shape in ((4, 5), (5, 3, 3)):
@@ -613,11 +604,11 @@ def test_one_row_bands_under_windows_wider_than_the_image(monkeypatch):
         tex = TextureMap(rng.integers(0, 6, size=shape[:2]))
         with pytest.MonkeyPatch.context() as mp:
             _use_bands(mp, img, 7, None, 1)
-            expected = filter_image(img, params, FilterMode.MULTILATERAL, MIRROR, tex).pixels
+            expected = filter_image(img, params, FilterMode.MULTILATERAL, tex).pixels
         _use_bands(monkeypatch, img, 7, 1, 2)
-        banded = filter_image(img, params, FilterMode.MULTILATERAL, MIRROR, tex).pixels
+        banded = filter_image(img, params, FilterMode.MULTILATERAL, tex).pixels
         assert np.array_equal(banded, expected), shape
-        slow = filter_oracle(img, params, FilterMode.MULTILATERAL, MIRROR, tex).pixels
+        slow = filter_oracle(img, params, FilterMode.MULTILATERAL, tex).pixels
         assert np.abs(banded - slow).max() <= 1e-12, shape
 
 

@@ -1,4 +1,4 @@
-"""Image buffer, boundary addressing, grayscale, and PNM round-trip tests."""
+"""Image buffer, edge-clamped addressing, grayscale, and PNM round-trip tests."""
 
 import tracemalloc
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from edgekeep.image import (
     LUMA_WEIGHTS,
-    BoundaryPolicy,
     ImageBuffer,
     MalformedHeaderError,
     PnmError,
@@ -22,9 +21,6 @@ from edgekeep.image import (
 )
 from edgekeep.noise import NOISE_KINDS, NoiseSpec, add_noise
 from edgekeep.texture import TextureMap, texture_map_image
-
-REPLICATE = BoundaryPolicy.REPLICATE
-MIRROR = BoundaryPolicy.MIRROR
 
 
 # --- ImageBuffer invariants ---
@@ -237,9 +233,9 @@ def test_made_images_are_read_only_and_share_no_memory_with_their_input():
 
 def test_sample_at_examples():
     img = ImageBuffer(np.arange(16, dtype=float).reshape(4, 4) / 15.0)
-    assert sample_at(img.pixels, (-1, 0), REPLICATE) == img.pixels[0, 0]
-    assert sample_at(img.pixels, (-1, 0), MIRROR) == img.pixels[0, 1]
-    assert sample_at(img.pixels, (2, 2), REPLICATE) == img.pixels[2, 2]
+    assert sample_at(img.pixels, (-1, 0)) == img.pixels[0, 0]
+    assert sample_at(img.pixels, (5, -2)) == img.pixels[0, 3]
+    assert sample_at(img.pixels, (2, 2)) == img.pixels[2, 2]
 
 
 def test_sample_at_rgb_returns_vector():
@@ -251,20 +247,18 @@ def test_sample_at_rgb_returns_vector():
 
 def test_sample_at_never_escapes_stored_array():
     # Property sweep over coordinates far outside the image, on an image's
-    # samples and on a texture map's uint8 labels; folding must agree with
-    # an explicitly padded array for both policies.
+    # samples and on a texture map's uint8 labels; clamping must agree with
+    # an edge-padded array.
     rng = np.random.default_rng(3)
     for h, w in [(1, 1), (1, 5), (4, 3), (6, 6)]:
         for field in (ImageBuffer(rng.random((h, w))).pixels,
                       rng.integers(0, 6, size=(h, w), dtype=np.uint8)):
             pad = 3 * max(w, h)
             edge = np.pad(field, pad, mode="edge")
-            refl = np.pad(field, pad, mode="reflect")
             for _ in range(200):
                 x = int(rng.integers(-3 * w, 3 * w + 1))
                 y = int(rng.integers(-3 * h, 3 * h + 1))
-                assert sample_at(field, (x, y), REPLICATE) == edge[y + pad, x + pad]
-                assert sample_at(field, (x, y), MIRROR) == refl[y + pad, x + pad]
+                assert sample_at(field, (x, y)) == edge[y + pad, x + pad]
 
 
 # --- PNM fuzz ---

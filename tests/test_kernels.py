@@ -1,28 +1,26 @@
 """1-D tap generation and separable convolution tests, pinned against brute-force oracles."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgekeep.image import BoundaryPolicy, ImageBuffer, sample_at
+from edgekeep.image import ImageBuffer, sample_at
 from edgekeep.kernels import _halo, convolve, gaussian_derivative_taps, window_mean
-from edgekeep.texture import decompose, local_energy
-
-REPLICATE = BoundaryPolicy.REPLICATE
-MIRROR = BoundaryPolicy.MIRROR
+from edgekeep.texture import classify, decompose, local_energy
 
 
-def pad_field(field, radius, policy):
-    """np.pad of the (row, column) axes per policy: the reference for band halos.
-    'reflect' mirrors without repeating the edge pixel, the mirror contract."""
+def pad_field(field, radius):
+    """np.pad of the (row, column) axes, repeating the edge: the reference for
+    band halos."""
     width = [(radius, radius)] * 2 + [(0, 0)] * (field.ndim - 2)
-    return np.pad(field, width, mode="edge" if policy is REPLICATE else "reflect")
+    return np.pad(field, width, mode="edge")
 
 
-def convolve_oracle(img: ImageBuffer, taps: np.ndarray, policy) -> np.ndarray:
+def convolve_oracle(img: ImageBuffer, taps: np.ndarray) -> np.ndarray:
     """Direct quadratic-loop transcription of the convolution contract.
 
     taps[v + r, u + r] weights offset (u, v), u along x and v along y.
@@ -34,7 +32,7 @@ def convolve_oracle(img: ImageBuffer, taps: np.ndarray, policy) -> np.ndarray:
             total = 0.0
             for v in range(-r, r + 1):
                 for u in range(-r, r + 1):
-                    total += taps[v + r, u + r] * sample_at(img.pixels, (x - u, y - v), policy)
+                    total += taps[v + r, u + r] * sample_at(img.pixels, (x - u, y - v))
             out[y, x] = total
     return out
 
@@ -65,7 +63,9 @@ def test_gaussian_symmetry_and_peak():
 
 
 def test_gaussian_rejects_bad_args():
-    for sigma, radius in [(0.0, 3), (-1.0, 3), (float("nan"), 3), (1.0, 0)]:
+    # 1e-200 squares to 0 (taps divided by it), inf gives all-zero derivative taps.
+    for sigma, radius in [(0.0, 3), (-1.0, 3), (float("nan"), 3), (1.0, 0),
+                          (1e-200, 3), (float("inf"), 3)]:
         with pytest.raises(ValueError):
             gaussian_derivative_taps(sigma, radius)
 
@@ -118,7 +118,7 @@ def test_identity_kernel_is_exact_identity():
 def test_single_tap_shifts_plus_one_in_x():
     # Row tap at u = 1: content moves +1 along x.
     img = ImageBuffer(np.random.default_rng(1).random((5, 5)))
-    out = convolve(img.pixels, delta(1), delta(1, u=1), REPLICATE)
+    out = convolve(img.pixels, delta(1), delta(1, u=1))
     assert np.array_equal(out[:, 1:], img.pixels[:, :-1])
     assert np.array_equal(out[:, 0], img.pixels[:, 0])  # replicated edge
 
@@ -136,11 +136,10 @@ def test_convolve_matches_brute_force_oracle():
     g, d = gaussian_derivative_taps(1.0, 2)
     pairs = [(normalized_gaussian(1.0, 3),) * 2, (g, d), (d, g),
              (rng.standard_normal(5), rng.standard_normal(5))]  # no mirror symmetry
-    for policy in (REPLICATE, MIRROR):
-        for col, row in pairs:
-            fast = convolve(img.pixels, col, row, policy)
-            slow = convolve_oracle(img, np.outer(col, row), policy)
-            assert np.abs(fast - slow).max() <= 1e-12
+    for col, row in pairs:
+        fast = convolve(img.pixels, col, row)
+        slow = convolve_oracle(img, np.outer(col, row))
+        assert np.abs(fast - slow).max() <= 1e-12
 
 
 def test_convolve_and_window_mean_span_row_blocks():
@@ -148,16 +147,15 @@ def test_convolve_and_window_mean_span_row_blocks():
     field = np.random.default_rng(9).random((70, 1100))
     g, d = gaussian_derivative_taps(1.0, 3)
     ones = np.ones(5)
-    for policy in (REPLICATE, MIRROR):
-        for col, row in [(g, d), (d, g)]:
-            taps = np.outer(col, row)
-            padded = pad_field(field, 3, policy)
-            expected = sum(taps[v + 3, u + 3] * padded[3 - v:73 - v, 3 - u:1103 - u]
-                           for v in range(-3, 4) for u in range(-3, 4))
-            assert np.abs(convolve(field, col, row, policy) - expected).max() <= 1e-12
-        padded = pad_field(field, 2, policy)
-        expected = sum(padded[j:j + 70, i:i + 1100] for j in range(5) for i in range(5)) / 25
-        assert np.abs(window_mean(field, 2, policy) - expected).max() <= 1e-12
+    for col, row in [(g, d), (d, g)]:
+        taps = np.outer(col, row)
+        padded = pad_field(field, 3)
+        expected = sum(taps[v + 3, u + 3] * padded[3 - v:73 - v, 3 - u:1103 - u]
+                       for v in range(-3, 4) for u in range(-3, 4))
+        assert np.abs(convolve(field, col, row) - expected).max() <= 1e-12
+    padded = pad_field(field, 2)
+    expected = sum(padded[j:j + 70, i:i + 1100] for j in range(5) for i in range(5)) / 25
+    assert np.abs(window_mean(field, 2) - expected).max() <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -174,16 +172,15 @@ def test_band_halo_is_the_band_of_the_padded_field(data):
     field = np.arange(h * w, dtype=np.float64).reshape(h, w)
     rgb = np.arange(h * w * 3, dtype=np.float64).reshape(h, w, 3)
     labels = (field % 6).astype(np.uint8)
-    for policy in (REPLICATE, MIRROR):
-        expected = pad_field(field, r, policy)[y0:y1 + 2 * r]
-        assert np.array_equal(_halo(field, y0, y1, r, policy), expected)
-        planes = np.empty((3, y1 - y0 + 2 * r, w + 2 * r))
-        assert _halo(rgb, y0, y1, r, policy, planes) is planes
-        expected = np.moveaxis(pad_field(rgb, r, policy), -1, 0)[:, y0:y1 + 2 * r]
-        assert np.array_equal(planes, expected)
-        band = _halo(labels, y0, y1, r, policy)
-        assert band.dtype == np.uint8
-        assert np.array_equal(band, pad_field(labels, r, policy)[y0:y1 + 2 * r])
+    expected = pad_field(field, r)[y0:y1 + 2 * r]
+    assert np.array_equal(_halo(field, y0, y1, r), expected)
+    planes = np.empty((3, y1 - y0 + 2 * r, w + 2 * r))
+    assert _halo(rgb, y0, y1, r, planes) is planes
+    expected = np.moveaxis(pad_field(rgb, r), -1, 0)[:, y0:y1 + 2 * r]
+    assert np.array_equal(planes, expected)
+    band = _halo(labels, y0, y1, r)
+    assert band.dtype == np.uint8
+    assert np.array_equal(band, pad_field(labels, r)[y0:y1 + 2 * r])
 
 
 def test_convolve_linearity():
@@ -216,7 +213,7 @@ def test_window_mean_matches_loop():
     for y in range(field.shape[0]):
         for x in range(field.shape[1]):
             expected[y, x] = padded[y:y + 2 * r + 1, x:x + 2 * r + 1].mean()
-    got = window_mean(field, r, REPLICATE)
+    got = window_mean(field, r)
     assert np.abs(got - expected).max() <= 1e-12
 
 
@@ -231,3 +228,35 @@ def test_fields_that_are_not_2d_raise_value_error(call, shape):
     # An RGB image's (h, w, 3) samples are one such field.
     with pytest.raises(ValueError, match=re.escape(str(shape))):
         call(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: decompose(f, 22.0),  # steerable radius 66
+    lambda f: convolve(f, np.ones(131), np.ones(131)),
+    lambda f: window_mean(f, 65),
+    lambda f: local_energy((f, f), 65),
+], ids=["decompose", "convolve", "window_mean", "local_energy"])
+def test_radii_above_the_image_bound_raise_before_any_halo(call):
+    # The bound of a 1 x 8 field is max(1, 8, 64) = 64; a band halo at radius
+    # 65 would take (1 + 130) x (8 + 130) samples, 145 KB.
+    field = np.zeros((1, 8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="sets a radius above 64"):
+            call(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
+def test_empty_fields_give_empty_results(shape):
+    field = np.zeros(shape)
+    g, d = gaussian_derivative_taps(1.0, 3)
+    assert convolve(field, g, d).shape == shape
+    assert [band.shape for band in decompose(field)] == [shape, shape]
+    assert window_mean(field, 2).shape == shape
+    energies = local_energy((field, field))
+    assert energies.shape == (4,) + shape
+    assert classify(energies).shape == shape

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edgekeep import kernels
-from edgekeep.image import BoundaryPolicy, ImageBuffer, fold_index, load_pnm, save_pnm
+from edgekeep.image import ImageBuffer, load_pnm, save_pnm
 from edgekeep.kernels import convolve, gaussian_derivative_taps, window_mean
 from edgekeep.texture import (
     EXPORT_GRAY_LEVELS,
@@ -31,9 +31,6 @@ from edgekeep.texture import (
 )
 from edgekeep.noise import NoiseSpec, add_noise
 from edgekeep.synth import grating, step_edge
-
-REPLICATE = BoundaryPolicy.REPLICATE
-POLICIES = st.sampled_from(list(BoundaryPolicy))
 
 # Margin excluded when checking grating interiors: steering kernel radius
 # plus the energy window radius.
@@ -87,7 +84,7 @@ def test_decompose_rejects_out_of_range_sigma_g(sigma_g):
         compute_texture_map(img, TextureParams(sigma_g=sigma_g))
 
 
-def decompose_oracle(field, sigma_g, policy):
+def decompose_oracle(field, sigma_g):
     """Per-pixel sums over the 2-D analytic derivative taps, then steering."""
     r = steerable_radius(sigma_g)
     offsets = np.arange(-r, r + 1)
@@ -98,8 +95,8 @@ def decompose_oracle(field, sigma_g, policy):
     base_x, base_y = np.zeros((h, w)), np.zeros((h, w))
     for y in range(h):
         for x in range(w):
-            rows = [fold_index(y - j, h, policy) for j in offsets]
-            cols = [fold_index(x - i, w, policy) for i in offsets]
+            rows = np.clip(y - offsets, 0, h - 1)
+            cols = np.clip(x - offsets, 0, w - 1)
             window = field[np.ix_(rows, cols)]  # window[v + r, u + r] = field(x - u, y - v)
             base_x[y, x] = (gx * window).sum()
             base_y[y, x] = (gy * window).sum()
@@ -113,18 +110,18 @@ def gray_fields(max_side):
 
 
 @settings(max_examples=60, deadline=None)
-@given(field=gray_fields(12), policy=POLICIES, sigma_g=st.sampled_from([0.5, 1.0, 1.5]))
-def test_decompose_matches_analytic_oracle(field, policy, sigma_g):
+@given(field=gray_fields(12), sigma_g=st.sampled_from([0.5, 1.0, 1.5]))
+def test_decompose_matches_analytic_oracle(field, sigma_g):
     # Sides from 1 to 12 against radii 3 and 6: many windows exceed the image.
-    bands = steer(decompose(field, sigma_g, policy))
-    assert np.abs(bands - decompose_oracle(field, sigma_g, policy)).max() <= 1e-12
+    bands = steer(decompose(field, sigma_g))
+    assert np.abs(bands - decompose_oracle(field, sigma_g)).max() <= 1e-12
 
 
 # --- local energy ---
 
-def four_band_energy(bands, window_radius, policy):
+def four_band_energy(bands, window_radius):
     """Window means of each squared band: the direct path local_energy skips."""
-    return np.stack([window_mean(band * band, window_radius, policy) for band in bands])
+    return np.stack([window_mean(band * band, window_radius) for band in bands])
 
 
 def test_zero_band_zero_energy():
@@ -142,7 +139,7 @@ def test_constant_band_energy_is_square():
 def test_local_energy_matches_window_loop():
     rng = np.random.default_rng(2)
     raw = rng.standard_normal((2, 7, 7))
-    energy = local_energy(raw, 1, REPLICATE)
+    energy = local_energy(raw, 1)
     bands = steer(raw)
     for k in range(4):
         sq = np.pad(bands[k] * bands[k], 1, mode="edge")
@@ -183,12 +180,12 @@ def test_classify_finds_a_bad_energy_in_the_last_band(monkeypatch, bad, workers)
 # --- structure-tensor energies ---
 
 @settings(max_examples=80, deadline=None)
-@given(field=gray_fields(16), policy=POLICIES, sigma_g=st.sampled_from([0.5, 1.0, 1.5]),
+@given(field=gray_fields(16), sigma_g=st.sampled_from([0.5, 1.0, 1.5]),
        window_radius=st.integers(1, 3))
-def test_tensor_energies_match_four_band_energies(field, policy, sigma_g, window_radius):
-    basis = decompose(field, sigma_g, policy)
-    energy = local_energy(basis, window_radius, policy)
-    expected = four_band_energy(steer(basis), window_radius, policy)
+def test_tensor_energies_match_four_band_energies(field, sigma_g, window_radius):
+    basis = decompose(field, sigma_g)
+    energy = local_energy(basis, window_radius)
+    expected = four_band_energy(steer(basis), window_radius)
     assert energy.shape == expected.shape == (4,) + field.shape
     assert np.all(energy >= 0.0)
     # Every energy is at most E45 + E-45 = E0 + E90, the pixel's tensor trace.
@@ -198,18 +195,17 @@ def test_tensor_energies_match_four_band_energies(field, policy, sigma_g, window
     assert np.all(np.abs(energy - expected) <= 1e-12 * trace + np.finfo(float).tiny)
 
 
-@pytest.mark.parametrize("policy", list(BoundaryPolicy))
-def test_diagonal_ramp_energy_is_clamped_at_zero(policy):
+def test_diagonal_ramp_energy_is_clamped_at_zero():
     # bx == by away from the border, so E-45 = (A + B)/2 - C is zero in
     # exact arithmetic; unclamped, its rounding goes below zero here.
     y, x = np.mgrid[0:40, 0:40]
     field = (x + y) / 78.0
-    bx, by = decompose(field, 1.0, policy)
-    energy = local_energy((bx, by), 2, policy)
+    bx, by = decompose(field, 1.0)
+    energy = local_energy((bx, by), 2)
     assert np.all(energy >= 0.0)
     inner = (slice(INTERIOR, -INTERIOR),) * 2
     assert np.all(energy[3][inner] <= 1e-12 * energy[2][inner])
-    a, b, c = (window_mean(p, 2, policy) for p in (bx * bx, by * by, bx * by))
+    a, b, c = (window_mean(p, 2) for p in (bx * bx, by * by, bx * by))
     assert ((a + b) * 0.5 - c).min() < 0.0
 
 
@@ -328,12 +324,12 @@ _FLIP_LABELS = np.array([TextureClass.SMOOTH, TextureClass.COMPLEX, TextureClass
 
 
 @settings(max_examples=60, deadline=None)
-@given(field=gray_fields(16), policy=POLICIES, axis=st.sampled_from([0, 1]),
+@given(field=gray_fields(16), axis=st.sampled_from([0, 1]),
        sigma_g=st.sampled_from([0.5, 1.0, 1.5]), threshold=st.floats(0.0, 0.2))
-def test_flips_are_exact_with_diagonals_swapped(field, policy, axis, sigma_g, threshold):
+def test_flips_are_exact_with_diagonals_swapped(field, axis, sigma_g, threshold):
     params = TextureParams(smooth_threshold=threshold)
-    energy = local_energy(decompose(field, sigma_g, policy), 2, policy)
-    flipped = local_energy(decompose(np.flip(field, axis), sigma_g, policy), 2, policy)
+    energy = local_energy(decompose(field, sigma_g), 2)
+    flipped = local_energy(decompose(np.flip(field, axis), sigma_g), 2)
     assert np.array_equal(flipped, np.flip(energy[[0, 1, 3, 2]], axis + 1))
     labels = classify(energy, params).labels
     assert np.array_equal(classify(flipped, params).labels, np.flip(_FLIP_LABELS[labels], axis))
@@ -367,18 +363,18 @@ def test_texture_radii_are_bounded_by_image_and_floor(field, value):
 
 # --- row bands ---
 
-def _texture_stage(field, policy, sigma_g, window_radius):
+def _texture_stage(field, sigma_g, window_radius):
     """Every banded texture output: both kernels, the energies and the labels."""
     params = TextureParams(sigma_g=sigma_g, energy_window_radius=window_radius)
     g, d = gaussian_derivative_taps(sigma_g, steerable_radius(sigma_g))
-    basis = decompose(field, sigma_g, policy)
-    energies = local_energy(basis, window_radius, policy)
+    basis = decompose(field, sigma_g)
+    energies = local_energy(basis, window_radius)
     into = np.full(field.shape, np.nan)
-    mean = window_mean(field, window_radius, policy, out=into)
+    mean = window_mean(field, window_radius, out=into)
     assert mean is into
-    return [convolve(field, d, g, policy), mean, *basis, energies,
+    return [convolve(field, d, g), mean, *basis, energies,
             classify(energies, params).labels,
-            compute_texture_map(ImageBuffer(field), params, policy).labels]
+            compute_texture_map(ImageBuffer(field), params).labels]
 
 
 @settings(max_examples=40, deadline=None)
@@ -386,8 +382,7 @@ def _texture_stage(field, policy, sigma_g, window_radius):
 def test_texture_stage_is_bit_identical_to_one_band(data):
     h, w = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 60))
     field = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random((h, w))
-    stage = (field, data.draw(POLICIES), data.draw(st.sampled_from([0.5, 1.0, 1.5])),
-             data.draw(st.integers(1, 3)))
+    stage = (field, data.draw(st.sampled_from([0.5, 1.0, 1.5])), data.draw(st.integers(1, 3)))
     budget = data.draw(st.sampled_from([1, 50, 400]) | st.integers(1, 4 * 60 * 60))
     workers = data.draw(st.integers(1, 3))
     with pytest.MonkeyPatch.context() as mp:
