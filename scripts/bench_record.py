@@ -15,7 +15,8 @@ and the traced functions a run found absent. End-to-end runs also give the
 raw metrics, the times and rates before perfbench scales them by the factor.
 Every side after the first is also compared with the first, seed by seed, in
 the direction BENCHMARK.json declares for each end-to-end metric, and given a
-verdict against that metric's bound (see verdict).
+verdict against that metric's bound (see verdict); so is its speed factor,
+which scales every metric but peak_rss_mb.
 """
 
 from __future__ import annotations
@@ -123,7 +124,8 @@ def compare(base: dict, other: dict, end_to_end: list[dict]) -> dict:
     number of shared seeds on which `other` is better, and the verdict. A
     metric that perfbench also reports unscaled by its speed factor gets the
     same ratio and pair count of the raw values ("raw_..."), so that a gain
-    the factor made, or hid, shows next to the verdict."""
+    the factor made, or hid, shows next to the verdict; the factor itself gets
+    its ratio and the pairs in which other's is higher ("speed_factor")."""
     out = {}
     for workload in sorted(set(base) & set(other)):
         a, b = base[workload].get("trace0", {}), other[workload].get("trace0", {})
@@ -141,6 +143,11 @@ def compare(base: dict, other: dict, end_to_end: list[dict]) -> dict:
                 raw = paired([a[s]["raw_metrics"][name] for s in seeds],
                              [b[s]["raw_metrics"][name] for s in seeds], direction)
                 rows[name].update({f"raw_{key}": value for key, value in raw.items()})
+        if all("speed_factor" in runs[s] for runs in (a, b) for s in seeds):
+            factor = paired([a[s]["speed_factor"] for s in seeds],
+                            [b[s]["speed_factor"] for s in seeds], "higher")
+            rows["speed_factor"] = {"ratio_of_medians": factor["ratio_of_medians"],
+                                    "higher_pairs": factor["better_pairs"], "pairs": len(seeds)}
         out[workload] = rows
     return out
 

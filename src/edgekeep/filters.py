@@ -15,7 +15,9 @@ weight per unordered pair, w(x, x + d) == w(x + d, x), and applies it to all
 channels and to both ends of the pair. Each window is summed in mirror quads,
 {+d, -d} pairs whose total no horizontal or vertical flip changes, so flipped
 inputs produce exactly flipped outputs. A weight is one exp of its summed
-exponents, floored at -700 where exp would slow.
+exponents, floored at -700 where exp would slow. Each quad's numerators and
+denominator are stacked in one (c + 1)-row sum, its denominator row in
+average mode the unit weights' 2.0 per pair, so all modes add and divide alike.
 """
 
 from __future__ import annotations
@@ -116,8 +118,7 @@ class _Scratch:
         self.planes, self.labels = np.empty(c * padded), np.empty(padded, dtype=np.uint8)
         self.diff, self.weight = np.empty(c * pairs), np.empty(pairs)
         self.square, self.differs = np.empty(pairs), np.empty(pairs, dtype=bool)
-        self.num, self.num_b, self.numerator = (np.empty(c * samples) for _ in range(3))
-        self.den, self.den_b, self.denominator = (np.empty(samples) for _ in range(3))
+        self.sums, self.sums_b, self.total = (np.empty((c + 1) * samples) for _ in range(3))
 
     @staticmethod
     def take(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -147,11 +148,11 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
     # The lowest range and texture exponent of any pair: samples lie in [0, 1].
     lowest = c * neg_inv_2sr2 + (0.0 if flat_labels is None else neg_inv_2st2)
 
-    def pair_sums(di: int, dj: int, num: np.ndarray, den: np.ndarray):
+    def pair_sums(di: int, dj: int, sums: np.ndarray) -> None:
         """Numerator and denominator sums of offsets +d and -d, d = (di, dj) forward.
 
-        The numerator goes to `num`; the denominator, returned, is `den` or
-        the scalar 2.0 of two unit weights. Each pair (q, q + s), q in
+        The c numerator rows go to sums[:c] and the denominator to sums[c],
+        2.0 (two unit weights) in average mode. Each pair (q, q + s), q in
         [x0 - s, x0 + N), is weighted once: pixel x reads it as q = x for +d
         and as q = x - s for -d, whose weighted diff is exactly the negation.
         """
@@ -162,8 +163,9 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
         diff = take(scratch.diff, c, n)
         np.subtract(flat[:, ahead], flat[:, centres], out=diff)
         if not weighted:
-            np.subtract(diff[:, fwd], diff[:, bwd], out=num)
-            return 2.0
+            sums[c] = 2.0
+            np.subtract(diff[:, fwd], diff[:, bwd], out=sums[:c])
+            return
         weight = take(scratch.weight, n)
         np.square(diff[0], out=weight)
         for plane in diff[1:]:
@@ -181,8 +183,8 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
             np.maximum(weight, -700.0, out=weight)
         np.exp(weight, out=weight)
         diff *= weight
-        np.subtract(diff[:, fwd], diff[:, bwd], out=num)
-        return np.add(weight[fwd], weight[bwd], out=den)
+        np.subtract(diff[:, fwd], diff[:, bwd], out=sums[:c])
+        np.add(weight[fwd], weight[bwd], out=sums[c])
 
     # Contributions accumulate relative to the center sample, so constant
     # regions pass through bit-exact (every diff is exactly zero); the center
@@ -191,31 +193,24 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
     # +/-(di, dj) with its mirror +/-(-di, dj). A horizontal or vertical flip
     # only swaps the operands of additions within a set, and IEEE addition
     # commutes, so flipped inputs give exactly flipped outputs.
-    num, num_b = take(scratch.num, c, n_kept), take(scratch.num_b, c, n_kept)
-    den, den_b = take(scratch.den, n_kept), take(scratch.den_b, n_kept)
-    numerator = take(scratch.numerator, c, h * width)[:, :n_kept]
-    numerator.fill(0.0)
-    denominator = take(scratch.denominator, h * width)[:n_kept] if weighted else 1.0
-    if weighted:
-        denominator.fill(1.0)
+    sums, sums_b = take(scratch.sums, c + 1, n_kept), take(scratch.sums_b, c + 1, n_kept)
+    total = take(scratch.total, c + 1, h * width)[:, :n_kept]  # numerators, then denominator
+    total[:c].fill(0.0)
+    total[c].fill(1.0)
     for k in range(1, m + 1):
         for di, dj in ((k, 0), (0, k)):
-            d = pair_sums(di, dj, num, den)
-            numerator += num
-            denominator += d
+            pair_sums(di, dj, sums)
+            total += sums
     for dj in range(1, m + 1):
         for di in range(1, m + 1):
-            d = pair_sums(di, dj, num, den)
-            d_b = pair_sums(-di, dj, num_b, den_b)
-            num += num_b
-            d += d_b
-            numerator += num
-            denominator += d
-    kept = take(scratch.numerator, c, h, width)[:, :, :w]  # the crop
-    np.divide(kept, take(scratch.denominator, h, width)[:, :w] if weighted else denominator,
-              out=kept)
-    np.add(band[:, m:m + h, m:m + w], kept, out=kept)
-    np.clip(kept, 0.0, 1.0, out=out)
+            pair_sums(di, dj, sums)
+            pair_sums(-di, dj, sums_b)
+            sums += sums_b
+            total += sums
+    kept = take(scratch.total, c + 1, h, width)[:, :, :w]  # the crop
+    np.divide(kept[:c], kept[c], out=kept[:c])
+    np.add(band[:, m:m + h, m:m + w], kept[:c], out=kept[:c])
+    np.clip(kept[:c], 0.0, 1.0, out=out)
 
 
 def _filter_pass(pixels: np.ndarray, mode: FilterMode, params: FilterParams,
@@ -280,11 +275,13 @@ def filter_oracle(img: ImageBuffer, params: FilterParams | None = None,
 
     Walks every pixel and window member, evaluating the per-pair weight
     functions directly. No vectorization, no shared subexpressions beyond
-    the weight functions themselves.
+    the weight functions themselves. Its window radius is bounded as
+    filter_image's is.
     """
     params = params or FilterParams()
     mode = FilterMode(mode)
     m = params.window_radius
+    check_radius("window_radius", m, img.pixels.shape)
 
     current = img
     for pass_index in range(params.passes):

@@ -104,7 +104,8 @@ def gaussian_derivative_taps(sigma: float, radius: int) -> tuple[np.ndarray, np.
     check_sigma("sigma", sigma, finite=True)
     radius = check_count("radius", radius)
     u = np.arange(-radius, radius + 1, dtype=np.float64)
-    g = np.exp(-(u * u) / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):  # a far tap's exponent overflows to -inf: g = 0
+        g = np.exp(-(u * u) / (2.0 * sigma * sigma))
     d = -u / (sigma * sigma) * g
     return g, d
 

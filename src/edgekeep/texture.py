@@ -226,7 +226,7 @@ def classify(energies: np.ndarray, params: TextureParams | None = None) -> Textu
                   where=second >= np.multiply(largest, params.complex_ratio, out=lo23))
         np.copyto(band_labels, int(TextureClass.SMOOTH), where=largest < threshold)
 
-    _run_bands(e.shape[1], e.shape[0] * e.shape[2], tournament)
+    _run_bands(*labels.shape, tournament)  # each op spans one (rows, w) plane
     return TextureMap(labels)
 
 

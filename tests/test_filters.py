@@ -161,9 +161,11 @@ def test_radii_and_pass_counts_must_be_integers(name):
 def test_window_radius_is_bounded_by_image_and_floor(shape, largest):
     img = ImageBuffer(np.random.default_rng(23).random(shape))
     assert filter_image(img, FilterParams(window_radius=largest)).pixels.shape == shape
-    with pytest.raises(ValueError, match=f"^window_radius {largest + 1} sets a radius above "
-                                         f"{largest}, the largest of the image height"):
-        filter_image(img, FilterParams(window_radius=largest + 1))
+    message = (f"^window_radius {largest + 1} sets a radius above {largest}, the largest "
+               f"of the image height")
+    for run in (filter_image, filter_oracle):  # the oracle checks before its first pass
+        with pytest.raises(ValueError, match=message):
+            run(img, FilterParams(window_radius=largest + 1))
 
 
 def test_bilateral_mode_never_reads_the_texture_radii():
@@ -198,6 +200,20 @@ def test_huge_sigmas_degenerate_to_box_mean():
     bilateral = filter_image(img, params, FilterMode.BILATERAL)
     average = filter_image(img, params, FilterMode.AVERAGE)
     assert np.abs(bilateral.pixels - average.pixels).max() <= 1e-9
+
+
+@pytest.mark.parametrize("shape", [(11, 9), (8, 10, 3)])
+def test_infinite_sigmas_bilateral_is_average_bit_for_bit(shape):
+    # Every weight is exp(-0) = 1, and the denominator sums the same unit
+    # weights in the same order as average mode's.
+    img = ImageBuffer(np.random.default_rng(5).random(shape))
+    for radius in (1, 2, 3):
+        for passes in (1, 2):
+            params = FilterParams(window_radius=radius, sigma_d=math.inf, sigma_r=math.inf,
+                                  passes=passes)
+            bilateral = filter_image(img, params, FilterMode.BILATERAL)
+            average = filter_image(img, params, FilterMode.AVERAGE)
+            assert np.array_equal(bilateral.pixels, average.pixels), (radius, passes)
 
 
 def test_huge_sigma_t_multilateral_equals_bilateral():

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,17 @@ def test_gaussian_rejects_bad_args():
                           (1e-200, 3), (float("inf"), 3)]:
         with pytest.raises(ValueError):
             gaussian_derivative_taps(sigma, radius)
+
+
+def test_far_taps_of_a_tiny_sigma_are_exactly_zero():
+    # u^2 / (2 sigma^2) overflows to inf at the far taps; exp(-inf) is 0, warning-free.
+    sigma, radius = 1e-150, 10**5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, d = gaussian_derivative_taps(sigma, radius)
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(d))
+    assert g[radius] == 1.0
+    assert not np.any(np.delete(g, radius)) and not np.any(d)
 
 
 def test_derivative_kernels_zero_sum_and_transpose():

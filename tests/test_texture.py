@@ -169,7 +169,7 @@ def test_classify_empty_stack_warns_nothing():
 def test_classify_finds_a_bad_energy_in_the_last_band(monkeypatch, bad, workers):
     monkeypatch.setattr(kernels, "_WORKERS", workers)
     for rows_per_band in (1, 2, 3, 7):
-        monkeypatch.setattr(kernels, "_BAND_SAMPLES", rows_per_band * 4 * 5)
+        monkeypatch.setattr(kernels, "_BAND_SAMPLES", rows_per_band * 5)
         for plane in range(4):
             energies = np.ones((4, 7, 5))
             energies[plane, -1, -1] = bad

@@ -127,6 +127,24 @@ def test_bench_record_shows_raw_metrics_next_to_each_verdict(tmp_path):
     assert "raw_better_pairs" not in rows["gray_multilateral_1024"]["peak_rss_mb"]
 
 
+def test_bench_record_compares_the_speed_factor_per_pair(tmp_path):
+    # A higher factor at the change scales its op times up: the raw gain shrinks.
+    record_script = _load_bench_record()
+    factors = ((1.10, 1.30), (1.39, 1.43), (1.20, 1.26), (1.25, 1.20))
+    for seed, (old, new) in enumerate(factors):
+        _write_run(tmp_path / "a", seed, 0, {"op_s.p50": 0.1 * old}, "aaa",
+                   raw={"op_s.p50": 0.1}, speed_factor=old)
+        _write_run(tmp_path / "b", seed, 0, {"op_s.p50": 0.09 * new}, "bbb",
+                   raw={"op_s.p50": 0.09}, speed_factor=new)
+    rows = record_script.compare(record_script.load_side(tmp_path / "a"),
+                                 record_script.load_side(tmp_path / "b"),
+                                 [{"name": "op_s.p50", "better": "lower", "bound": 0.25}])
+    factor = rows["gray_multilateral_1024"]["speed_factor"]
+    assert factor == {"ratio_of_medians": pytest.approx(1.28 / 1.225), "higher_pairs": 3,
+                      "pairs": 4}
+    assert rows["gray_multilateral_1024"]["op_s.p50"]["raw_better_pairs"] == 4
+
+
 def test_bench_record_refuses_a_single_run(tmp_path):
     record_script = _load_bench_record()
     _write_run(tmp_path / "a", 5, 0, {"mpix_s": 2.0}, "aaa")
