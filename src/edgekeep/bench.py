@@ -139,22 +139,20 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
+def _cells(row: BenchRow) -> list[str]:
+    """The row's fields in CSV_HEADER order, metrics to six decimals."""
+    return [v if isinstance(v, str) else _fmt(v) for v in vars(row).values()]
+
+
 def report_to_csv(report: BenchReport) -> str:
-    lines = [CSV_HEADER]
-    for r in report.all_rows():
-        lines.append(f"{r.image},{r.noise},{r.param},{r.filter},"
-                     f"{_fmt(r.snr_db)},{_fmt(r.ep_h)},{_fmt(r.ep_v)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER] + [",".join(_cells(r)) for r in report.all_rows()]) + "\n"
 
 
 def report_to_markdown(report: BenchReport) -> str:
     def table(rows):
-        out = ["| image | noise | param | filter | snr_db | ep_h | ep_v |",
-               "| --- | --- | --- | --- | --- | --- | --- |"]
-        for r in rows:
-            out.append(f"| {r.image} | {r.noise} | {r.param} | {r.filter} | "
-                       f"{_fmt(r.snr_db)} | {_fmt(r.ep_h)} | {_fmt(r.ep_v)} |")
-        return "\n".join(out)
+        names = CSV_HEADER.split(",")
+        lines = [names, ["---"] * len(names)] + [_cells(r) for r in rows]
+        return "\n".join("| " + " | ".join(cells) + " |" for cells in lines)
 
     parts = [
         "# edgekeep benchmark report",

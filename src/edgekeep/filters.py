@@ -108,25 +108,8 @@ def _resolve_texture(current: ImageBuffer, pass_index: int, supplied: TextureMap
     return tex
 
 
-class _Scratch:
-    """One worker's pass buffers for bands of up to `rows` padded-width rows,
-    reused by every band and offset it runs; `take` views a contiguous prefix."""
-
-    def __init__(self, c: int, rows: int, w: int, m: int):
-        pairs, samples = (rows + m) * (w + 2 * m), rows * (w + 2 * m)
-        padded = (rows + 2 * m) * (w + 2 * m)
-        self.planes, self.labels = np.empty(c * padded), np.empty(padded, dtype=np.uint8)
-        self.diff, self.weight = np.empty(c * pairs), np.empty(pairs)
-        self.square, self.differs = np.empty(pairs), np.empty(pairs, dtype=bool)
-        self.sums, self.sums_b, self.total = (np.empty((c + 1) * samples) for _ in range(3))
-
-    @staticmethod
-    def take(buffer: np.ndarray, *shape: int) -> np.ndarray:
-        return buffer[:math.prod(shape)].reshape(shape)
-
-
 def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: FilterParams,
-                 weighted: bool, scratch: _Scratch, out: np.ndarray) -> None:
+                 weighted: bool, out: np.ndarray) -> None:
     """Filter one row band into `out`, its rows of the output's (c, h, w) planes.
 
     `band` holds the band's rows of the padded channel planes plus m rows of
@@ -141,7 +124,9 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
     h, w = rows - 2 * m, width - 2 * m
     flat = band.reshape(c, -1)  # a view: each channel plane's rows are contiguous
     x0, n_kept = m * width + m, (h - 1) * width + w
-    take = _Scratch.take
+    longest = n_kept + x0  # the run of d = (m, m); each offset uses a prefix
+    diffs, weights, squares = np.empty((c, longest)), np.empty(longest), np.empty(longest)
+    differs = np.empty(longest, dtype=bool)
     neg_inv_2sr2 = -0.5 / (params.sigma_r ** 2)
     inv_2sd2 = 0.5 / (params.sigma_d ** 2)
     neg_inv_2st2 = -0.5 / (params.sigma_t ** 2)  # where labels differ, else 0
@@ -160,23 +145,22 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
         n = n_kept + s
         ahead, centres = slice(x0, x0 + n), slice(x0 - s, x0 + n_kept)
         fwd, bwd = slice(s, s + n_kept), slice(0, n_kept)
-        diff = take(scratch.diff, c, n)
+        diff = diffs[:, :n]
         np.subtract(flat[:, ahead], flat[:, centres], out=diff)
         if not weighted:
             sums[c] = 2.0
             np.subtract(diff[:, fwd], diff[:, bwd], out=sums[:c])
             return
-        weight = take(scratch.weight, n)
+        weight = weights[:n]
         np.square(diff[0], out=weight)
         for plane in diff[1:]:
-            weight += np.square(plane, out=take(scratch.square, n))
+            weight += np.square(plane, out=squares[:n])
         np.multiply(weight, neg_inv_2sr2, out=weight)
         spatial = (di * di + dj * dj) * inv_2sd2
         weight -= spatial
         if flat_labels is not None:
-            differs = take(scratch.differs, n)
-            np.not_equal(flat_labels[ahead], flat_labels[centres], out=differs)
-            weight += np.multiply(differs, neg_inv_2st2, out=take(scratch.square, n))
+            np.not_equal(flat_labels[ahead], flat_labels[centres], out=differs[:n])
+            weight += np.multiply(differs[:n], neg_inv_2st2, out=squares[:n])
         # exp is tenfold slower and more near underflow; raising a weight to
         # e^-700 (about 1e-304) moves an output by at most that per neighbour.
         if lowest - spatial < -700.0:
@@ -193,8 +177,9 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
     # +/-(di, dj) with its mirror +/-(-di, dj). A horizontal or vertical flip
     # only swaps the operands of additions within a set, and IEEE addition
     # commutes, so flipped inputs give exactly flipped outputs.
-    sums, sums_b = take(scratch.sums, c + 1, n_kept), take(scratch.sums_b, c + 1, n_kept)
-    total = take(scratch.total, c + 1, h * width)[:, :n_kept]  # numerators, then denominator
+    sums, sums_b = np.empty((2, c + 1, n_kept))
+    totals = np.empty((c + 1, h, width))  # numerators, then denominator
+    total = totals.reshape(c + 1, -1)[:, :n_kept]
     total[:c].fill(0.0)
     total[c].fill(1.0)
     for k in range(1, m + 1):
@@ -207,7 +192,7 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
             pair_sums(-di, dj, sums_b)
             sums += sums_b
             total += sums
-    kept = take(scratch.total, c + 1, h, width)[:, :, :w]  # the crop
+    kept = totals[:, :, :w]  # the crop
     np.divide(kept[:c], kept[c], out=kept[:c])
     np.add(band[:, m:m + h, m:m + w], kept[:c], out=kept[:c])
     np.clip(kept[:c], 0.0, 1.0, out=out)
@@ -222,19 +207,12 @@ def _filter_pass(pixels: np.ndarray, mode: FilterMode, params: FilterParams,
     (h, w, c), m = pixels.shape, params.window_radius
     planes = np.moveaxis(out.reshape(h, w, c), -1, 0)  # each band writes its rows here
     weighted = mode is not FilterMode.AVERAGE
-    scratches: dict[int, _Scratch] = {}
 
-    def band(y0: int, y1: int, worker: int) -> None:
-        # Each thread makes its buffers itself, on its first band; band
-        # heights differ by one row at most. A band pads its own rows into
-        # channel planes, so per-channel arithmetic runs over contiguous rows.
-        if worker not in scratches:
-            scratches[worker] = _Scratch(c, y1 - y0 + 1, w, m)
-        scratch, rows = scratches[worker], (y1 - y0 + 2 * m, w + 2 * m)
-        band_planes = _halo(pixels, y0, y1, m, _Scratch.take(scratch.planes, c, *rows))
-        band_labels = None if labels is None else _halo(
-            labels, y0, y1, m, _Scratch.take(scratch.labels, *rows)).ravel()
-        _filter_band(band_planes, band_labels, params, weighted, scratch, planes[:, y0:y1])
+    def band(y0: int, y1: int) -> None:
+        # A band pads its own rows into channel planes, so per-channel
+        # arithmetic runs over contiguous rows.
+        band_labels = None if labels is None else _halo(labels, y0, y1, m).ravel()
+        _filter_band(_halo(pixels, y0, y1, m), band_labels, params, weighted, planes[:, y0:y1])
 
     _run_bands(h, c * (w + 2 * m), band)
     return out

@@ -13,9 +13,9 @@ flips an even pass's output exactly and negates an odd pass's output
 exactly.
 
 These passes, the texture energies and labels, and the filter passes run in
-row bands of about _BAND_SAMPLES samples on one thread pool (_run_bands).
-Each sample sees the same operations in any band, so results depend on
-neither the band size nor the core count.
+row bands of about _BAND_SAMPLES samples on one thread pool made at import
+(_run_bands); a band is told only its rows. Each sample sees the same
+operations in any band, so results depend on neither band size nor core count.
 """
 
 from __future__ import annotations
@@ -37,57 +37,46 @@ _BAND_SAMPLES = 65536
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
-
-def _band_pool() -> ThreadPoolExecutor:
-    """The package's band threads, created on first use."""
+def _new_pool() -> None:
+    """Make the band threads. A ThreadPoolExecutor starts none before its first
+    submit; a forked child, which has none of its parent's, makes its own."""
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
-                                       thread_name_prefix="edgekeep-band")
-        return _pool
+    _pool = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
+                               thread_name_prefix="edgekeep-band")
 
 
-def _forget_pool() -> None:
-    # A forked child has none of the parent's threads; it makes its own pool.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
+_new_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _run_bands(rows: int, row_samples: int, band) -> None:
-    """Call band(y0, y1, worker) for balanced bands (heights differ by one row
-    at most) of about _BAND_SAMPLES samples, over `rows` rows of `row_samples`.
+    """Call band(y0, y1) for balanced bands (heights differ by one row at
+    most) of about _BAND_SAMPLES samples, over `rows` rows of `row_samples`.
 
-    Up to _WORKERS threads pull bands from one iterator; the calling thread is
-    worker 0, and runs a single band alone, with no lock or pool. `band` must
-    start no band run itself: the pool threads would wait on one another's
-    queued bands forever.
+    Up to _WORKERS threads, the calling thread among them, pull bands from one
+    iterator; a single band runs alone on the calling thread, with no lock or
+    pool. `band` must start no band run itself: the pool threads would wait on
+    one another's queued bands forever.
     """
     count = max(1, min(rows, -(-rows * row_samples // _BAND_SAMPLES)))
     if count == 1:
-        return band(0, rows, 0)
+        return band(0, rows)
     bands = iter((rows * i // count, rows * (i + 1) // count) for i in range(count))
     lock = threading.Lock()
 
-    def work_through_bands(worker: int) -> None:
+    def work_through_bands() -> None:
         while True:
             with lock:
                 bounds = next(bands, None)
             if bounds is None:
                 return
-            band(*bounds, worker)
+            band(*bounds)
 
-    futures = [_band_pool().submit(work_through_bands, i)
-               for i in range(1, min(_WORKERS, count))]
+    futures = [_pool.submit(work_through_bands) for _ in range(1, min(_WORKERS, count))]
     try:
-        work_through_bands(0)
+        work_through_bands()
     finally:
         wait(futures)
     for future in futures:
@@ -104,9 +93,10 @@ def gaussian_derivative_taps(sigma: float, radius: int) -> tuple[np.ndarray, np.
     check_sigma("sigma", sigma, finite=True)
     radius = check_count("radius", radius)
     u = np.arange(-radius, radius + 1, dtype=np.float64)
-    with np.errstate(over="ignore"):  # a far tap's exponent overflows to -inf: g = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A far tap's exponent overflows to -inf: g = 0, and d is g's zero signed as -u.
         g = np.exp(-(u * u) / (2.0 * sigma * sigma))
-    d = -u / (sigma * sigma) * g
+        d = np.where(g == 0.0, -u * g, -u / (sigma * sigma) * g)
     return g, d
 
 
@@ -182,7 +172,7 @@ def _separable(field: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,
     if not field.size:
         return out
 
-    def band(y0: int, y1: int, worker: int) -> None:
+    def band(y0: int, y1: int) -> None:
         rows = _taps_pass(_halo(field, y0, y1, r), row_taps, 1)
         _taps_pass(rows, col_taps, 0, out[y0:y1])
         if divisor != 1.0:

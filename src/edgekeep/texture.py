@@ -167,11 +167,11 @@ def local_energy(basis, window_radius: int = 2) -> np.ndarray:
     # array, C into the E-45 plane.
     product = energies[2]
     for a, b, plane in ((bx, bx, 0), (by, by, 1), (bx, by, 3)):
-        _run_bands(*bx.shape, lambda y0, y1, worker, a=a, b=b:
+        _run_bands(*bx.shape, lambda y0, y1, a=a, b=b:
                    np.multiply(a[y0:y1], b[y0:y1], out=product[y0:y1]))
         window_mean(product, window_radius, out=energies[plane])
 
-    def combine(y0: int, y1: int, worker: int) -> None:
+    def combine(y0: int, y1: int) -> None:
         e = energies[:, y0:y1]
         half_trace = np.add(e[0], e[1])
         half_trace *= 0.5
@@ -205,7 +205,7 @@ def classify(energies: np.ndarray, params: TextureParams | None = None) -> Textu
         threshold = max(ADAPTIVE_THRESHOLD_FRACTION * float(e.mean()),
                         _ADAPTIVE_THRESHOLD_FLOOR)
 
-    def tournament(y0: int, y1: int, worker: int) -> None:
+    def tournament(y0: int, y1: int) -> None:
         e0, e1, e2, e3 = e[:, y0:y1]
         band_labels = labels[y0:y1]
         hi01, lo01 = np.maximum(e0, e1), np.minimum(e0, e1)

@@ -72,6 +72,15 @@ def test_filter_sigma_out_of_range_is_usage_error(tmp_path, flag, value, capsys)
     assert flag[2:] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["filter", "--mode", "multilateral"], ["texture"]])
+def test_smallest_sigma_g_in_range_runs(tmp_path, command):
+    # 1e-154 passes the sigma check although -u / sigma_g^2 overflows at the
+    # outer derivative taps; the taps are finite and the run succeeds.
+    src = write_pnm(tmp_path / "a.pgm",
+                    ImageBuffer(np.random.default_rng(1).random((8, 8))))
+    assert main(command + ["--sigma-g=1e-154", src, str(tmp_path / "b.pgm")]) == 0
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "1e-300", "1e-160"])
 @pytest.mark.parametrize("command", [["filter", "--mode", "multilateral"], ["texture"]])
 def test_sigma_g_out_of_range_is_usage_error(tmp_path, command, value, capsys):

@@ -2,11 +2,14 @@
 
 import math
 import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,7 +474,7 @@ def test_forked_child_runs_banded_passes(monkeypatch):
     img = ImageBuffer(np.random.default_rng(19).random((30, 20)))
     expected = _one_band(img, FilterParams(), FilterMode.BILATERAL)
     _use_bands(monkeypatch, img, 2, 4, 2)
-    filter_image(img)  # starts the pool in this process
+    filter_image(img)  # starts the pool's threads in this process
     pid = os.fork()
     if pid == 0:
         same = False
@@ -487,6 +490,26 @@ def test_forked_child_runs_banded_passes(monkeypatch):
         os.waitpid(pid, 0)
         pytest.fail("the forked child did not finish its banded pass")
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_import_starts_no_thread_and_a_banded_pass_starts_the_pool():
+    # The pool is made at import; its threads start with the first band run.
+    code = textwrap.dedent("""
+        import threading
+        import numpy as np
+        import edgekeep
+        from edgekeep import kernels
+        assert threading.active_count() == 1, threading.enumerate()
+        kernels._BAND_SAMPLES, kernels._WORKERS = 4 * 20, 2
+        edgekeep.filter_image(edgekeep.ImageBuffer(np.random.default_rng(0).random((16, 16))))
+        assert any(t.name.startswith("edgekeep-band") for t in threading.enumerate())
+        """)
+    src = str(Path(kernels.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 # --- oracle equivalence ---
@@ -587,7 +610,7 @@ def test_multilateral_passes_peak_below_eight_image_arrays(monkeypatch):
 ])
 def test_filter_pass_peaks_below_two_image_arrays(monkeypatch, shape, params):
     # The output, adopted by the returned buffer, is the one image-sized array
-    # a pass makes; each band pads its own rows into its worker's buffers.
+    # a pass makes; each band pads its own rows into buffers of its own.
     monkeypatch.setattr(kernels, "_WORKERS", 1)
     img = ImageBuffer(np.random.default_rng(21).random(shape))
     tracemalloc.start()

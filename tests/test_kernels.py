@@ -82,6 +82,18 @@ def test_far_taps_of_a_tiny_sigma_are_exactly_zero():
     assert not np.any(np.delete(g, radius)) and not np.any(d)
 
 
+def test_derivative_taps_of_the_smallest_sigma_are_finite():
+    # At sigma 1e-154, -u / sigma^2 overflows for |u| >= 2, where g is 0: each
+    # such d is g's zero with the sign of -u, as at any larger tiny sigma.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, d = gaussian_derivative_taps(1e-154, 3)
+    assert np.array_equal(g, delta(3))
+    assert not np.any(d)
+    assert np.signbit(d).tolist() == np.signbit(gaussian_derivative_taps(1e-150, 3)[1]).tolist()
+    assert np.signbit(d).tolist() == [False] * 3 + [True] * 4
+
+
 def test_derivative_kernels_zero_sum_and_transpose():
     for sigma, radius in [(1.0, 3), (1.5, 5)]:
         g, d = gaussian_derivative_taps(sigma, radius)
@@ -175,8 +187,8 @@ def test_convolve_and_window_mean_span_row_blocks():
 def test_band_halo_is_the_band_of_the_padded_field(data):
     # Shapes from 1x1 up, radii above the image side, and every band split:
     # top (y0 = 0), interior, bottom (y1 = h) and the single band (0, h).
-    # The filter's halos too: RGB samples as (3, rows, w) channel planes
-    # written into a caller's buffer, and uint8 labels.
+    # The filter's halos too: RGB samples as (3, rows, w) channel planes,
+    # here written into a caller's buffer, and uint8 labels.
     h, w = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
     r = data.draw(st.integers(0, 30))
     y0 = data.draw(st.integers(0, h - 1))
