@@ -135,39 +135,37 @@ def run_bench(images: list[tuple[str, ImageBuffer]] | None = None,
                        sigma_t_sweep=tuple(sigma_t))
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
+def format_metric(value: float | None, none_word: str = "") -> str:
+    """A metric to six decimals, or `none_word` where it is undefined (None)."""
+    return none_word if value is None else f"{value:.6f}"
+
+
+def markdown_table(header, rows) -> str:
+    """A markdown table of a header and rows, each a sequence of cell strings."""
+    lines = [header, ["---"] * len(header), *rows]
+    return "\n".join("| " + " | ".join(cells) + " |" for cells in lines)
 
 
 def _cells(row: BenchRow) -> list[str]:
     """The row's fields in CSV_HEADER order, metrics to six decimals."""
-    return [v if isinstance(v, str) else _fmt(v) for v in vars(row).values()]
+    return [v if isinstance(v, str) else format_metric(v) for v in vars(row).values()]
 
 
 def report_to_csv(report: BenchReport) -> str:
     return "\n".join([CSV_HEADER] + [",".join(_cells(r)) for r in report.all_rows()]) + "\n"
 
 
-def report_to_markdown(report: BenchReport) -> str:
-    def table(rows):
-        names = CSV_HEADER.split(",")
-        lines = [names, ["---"] * len(names)] + [_cells(r) for r in rows]
-        return "\n".join("| " + " | ".join(cells) + " |" for cells in lines)
+#: The markdown report's sections: a BenchReport field and its heading.
+_SECTIONS = (
+    ("comparison", "Filter comparison (bilateral vs multilateral)"),
+    ("density_sweep", "Salt-and-pepper density sweep (edge-preservation ratio)"),
+    ("sigma_t_sweep", "Texture-scale (sigma_t) sweep"),
+)
 
-    parts = [
-        "# edgekeep benchmark report",
-        "",
-        "## Filter comparison (bilateral vs multilateral)",
-        "",
-        table(report.comparison),
-        "",
-        "## Salt-and-pepper density sweep (edge-preservation ratio)",
-        "",
-        table(report.density_sweep),
-        "",
-        "## Texture-scale (sigma_t) sweep",
-        "",
-        table(report.sigma_t_sweep),
-        "",
-    ]
+
+def report_to_markdown(report: BenchReport) -> str:
+    parts = ["# edgekeep benchmark report", ""]
+    for field, heading in _SECTIONS:
+        rows = map(_cells, getattr(report, field))
+        parts += [f"## {heading}", "", markdown_table(CSV_HEADER.split(","), rows), ""]
     return "\n".join(parts)

@@ -18,7 +18,8 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from .bench import DEFAULT_BASE_SEED, report_to_csv, report_to_markdown, run_bench
+from .bench import (DEFAULT_BASE_SEED, format_metric, markdown_table, report_to_csv,
+                    report_to_markdown, run_bench)
 from .filters import FilterMode, FilterParams, filter_image
 from .image import ImageBuffer, PnmError, load_pnm, save_pnm
 from .metrics import evaluate_pair, snr
@@ -88,8 +89,8 @@ def _convert(opt: Option, value):
     if value is None or opt.type is str:
         return opt.default if value is None else value
     try:
-        if opt.type is int and (isinstance(value, bool)
-                                or isinstance(value, float) and not value.is_integer()):
+        if isinstance(value, bool) or (opt.type is int and isinstance(value, float)
+                                       and not value.is_integer()):
             raise TypeError
         return opt.type(value)
     except (TypeError, ValueError):
@@ -115,19 +116,15 @@ def _construct(make, values: dict):
 
 
 def _read_image(path: str) -> ImageBuffer:
-    data = Path(path).read_bytes()
     try:
-        return load_pnm(data)
+        return load_pnm(Path(path).read_bytes())
     except PnmError as exc:
-        raise PnmError(f"{path}: {exc.args[0]}", exc.offset) from None
+        exc.args = (f"{path}: {exc}",)  # str(exc) ends in the byte offset already
+        raise
 
 
 def _echo_config(values: dict):
     print(f"config: {json.dumps(values, sort_keys=True)}", file=sys.stderr)
-
-
-def _metric_str(value: float | None, none_word: str) -> str:
-    return none_word if value is None else f"{value:.6f}"
 
 
 def cmd_filter(args, values: dict) -> int:
@@ -180,33 +177,26 @@ def cmd_metrics(args, values: dict) -> int:
     filtered_img = _read_image(args.filtered)
     report = evaluate_pair(input_img, filtered_img)
     pairs = [
-        ("snr_db", _metric_str(report.snr_db, "identical")),
-        ("ep_horizontal", _metric_str(report.ep_horizontal, "undefined")),
-        ("ep_vertical", _metric_str(report.ep_vertical, "undefined")),
+        ("snr_db", format_metric(report.snr_db, "identical")),
+        ("ep_horizontal", format_metric(report.ep_horizontal, "undefined")),
+        ("ep_vertical", format_metric(report.ep_vertical, "undefined")),
     ]
     if args.clean:
         clean_img = _read_image(args.clean)
-        pairs.append(("snr_clean_db", _metric_str(snr(clean_img, filtered_img), "identical")))
+        pairs.append(("snr_clean_db", format_metric(snr(clean_img, filtered_img), "identical")))
     _echo_config(values)
 
     if report_format == "text":
-        lines = [f"{key}={value}" for key, value in pairs]
+        print("\n".join(f"{key}={value}" for key, value in pairs))
     elif report_format == "csv":
-        lines = [",".join(column) for column in zip(*pairs)]
+        print("\n".join(",".join(column) for column in zip(*pairs)))
     else:
-        lines = ["| metric | value |", "| --- | --- |"]
-        lines += [f"| {key} | {value} |" for key, value in pairs]
-    print("\n".join(lines))
+        print(markdown_table(["metric", "value"], pairs))
     return EXIT_OK
 
 
 def cmd_bench(args, values: dict) -> int:
-    images = None
-    if args.images:
-        missing = [p for p in args.images if not Path(p).is_file()]
-        if missing:
-            raise FileNotFoundError(f"missing test image(s): {', '.join(missing)}")
-        images = [(Path(p).stem, _read_image(p)) for p in args.images]
+    images = [(Path(p).stem, _read_image(p)) for p in args.images] or None
     _echo_config(values)
 
     report = run_bench(images, values["seed"])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,40 +148,27 @@ def to_grayscale(img: ImageBuffer) -> ImageBuffer:
     return ImageBuffer._adopt(np.clip(luma, 0.0, 1.0, out=luma))
 
 
-_WS = frozenset(b" \t\n\r\x0b\x0c")
-
-
-def _skip_filler(data: bytes, pos: int) -> int:
-    # Whitespace and '#' comments (running to end of line) separate tokens.
-    while pos < len(data):
-        byte = data[pos]
-        if byte in _WS:
-            pos += 1
-        elif byte == 0x23:
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-        else:
-            break
-    return pos
+#: One header token, after the whitespace and '#' comments (each running to
+#: the end of its line) before it; group 1 is empty where no token follows.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)")
 
 
 def _read_token(data: bytes, pos: int, what: str):
-    pos = _skip_filler(data, pos)
-    start = pos
-    while pos < len(data) and data[pos] not in _WS and data[pos] != 0x23:
-        pos += 1
-    if start == pos:
+    start, end = _TOKEN.match(data, pos).span(1)
+    if start == end:
         raise MalformedHeaderError(f"missing {what} token", start)
-    return data[start:pos], start, pos
+    return data[start:end], start, end
 
 
 def _read_int(data: bytes, pos: int, what: str):
+    """A header integer: ASCII decimal digits only, as Netpbm writes them."""
     token, start, pos = _read_token(data, pos, what)
     try:
-        value = int(token)
-    except ValueError:
-        raise MalformedHeaderError(f"{what} is not an integer: {token!r}", start) from None
-    return value, start, pos
+        if token.isdigit():
+            return int(token), start, pos
+    except ValueError:  # more digits than int() converts
+        pass
+    raise MalformedHeaderError(f"{what} is not an integer: {token!r}", start)
 
 
 def load_pnm(data: bytes) -> ImageBuffer:
@@ -204,7 +192,7 @@ def load_pnm(data: bytes) -> ImageBuffer:
     maxval, maxval_at, pos = _read_int(data, pos, "maxval")
     if maxval not in (255, 65535):
         raise UnsupportedMaxvalError(f"unsupported maxval {maxval}", maxval_at)
-    if pos >= len(data) or data[pos] not in _WS:
+    if not data[pos:pos + 1].isspace():
         raise MalformedHeaderError("expected a single whitespace byte after maxval", pos)
     pos += 1
     dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")

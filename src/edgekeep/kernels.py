@@ -137,16 +137,14 @@ def _taps_pass(src: np.ndarray, taps: np.ndarray, axis: int,
     return out
 
 
-def _halo(field: np.ndarray, y0: int, y1: int, r: int,
-          out: np.ndarray | None = None) -> np.ndarray:
+def _halo(field: np.ndarray, y0: int, y1: int, r: int) -> np.ndarray:
     """Rows y0 - r to y1 + r of `field`, padded by r copies of its edge rows and
     columns, as a (y1 - y0 + 2r, w + 2r) slab, or for an (h, w, c) field its c
-    channel planes (c, y1 - y0 + 2r, w + 2r), written to `out` when given."""
+    channel planes (c, y1 - y0 + 2r, w + 2r)."""
     h, w = field.shape[:2]
     lo, hi = max(y0 - r, 0), min(y1 + r, h)
     top, inside = lo - (y0 - r), hi - lo
-    if out is None:
-        out = np.empty(field.shape[2:] + (y1 - y0 + 2 * r, w + 2 * r), field.dtype)
+    out = np.empty(field.shape[2:] + (y1 - y0 + 2 * r, w + 2 * r), field.dtype)
     slab = out if field.ndim == 2 else np.moveaxis(out, 0, -1)  # the field's axis order
     core = slab[:, r:r + w]
     core[:top] = field[0]

@@ -110,6 +110,15 @@ def test_malformed_image_is_io_failure(tmp_path, capsys):
     assert "byte offset" in capsys.readouterr().err
 
 
+def test_malformed_image_names_path_and_offset_once(tmp_path, capsys):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P4\n2 2\n" + bytes(2))
+    assert main(["filter", str(bad), str(tmp_path / "o.pgm")]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: expected P5 or P6 magic, got b'P4' (byte offset 0)\n" in err
+    assert err.count("byte offset") == 1
+
+
 def test_config_file_and_flag_override(tmp_path, gray_file):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "average", "radius": 3}))
@@ -201,6 +210,8 @@ OUT_OF_RANGE = [
     ("add-noise", "density", 2.0), ("add-noise", "std", -1.0),
     ("add-noise", "std", math.nan), ("add-noise", "std", math.inf), ("add-noise", "seed", 1.5),
     ("bench", "seed", 1.5),
+    ("filter", "sigma-d", True), ("texture", "smooth-threshold", True),
+    ("add-noise", "density", False),
 ]
 
 

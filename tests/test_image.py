@@ -90,6 +90,13 @@ def test_load_header_comments():
     assert img.width == 2 and img.height == 1
 
 
+def test_load_header_with_a_long_comment():
+    comment = b"#" + b"x" * 1_000_000 + b"\n"
+    img = load_pnm(b"P5\n" + comment + b"2 1\n" + comment + b"255\n" + bytes([5, 7]))
+    assert (img.width, img.height) == (2, 1)
+    assert np.array_equal(img.pixels, [[5 / 255, 7 / 255]])
+
+
 def test_load_truncated_payload_reports_offset():
     header = b"P5\n4 4\n255\n"
     with pytest.raises(TruncatedPayloadError) as info:
@@ -105,6 +112,14 @@ def test_load_malformed_header():
         load_pnm(b"P5\nx 2\n255\n" + bytes(4))
     with pytest.raises(MalformedHeaderError):
         load_pnm(b"P5\n2 2\n")  # maxval token missing entirely
+    # Header integers are ASCII decimal digits: no sign, no underscore, and no
+    # more digits than int() converts.
+    for header, token in ((b"P5\n+2 1\n255\n", b"+2"), (b"P5\n1_0 1\n255\n", b"1_0"),
+                          (b"P5\n2 1\n+255\n", b"+255"),
+                          (b"P5\n" + b"9" * 5000 + b" 1\n255\n", b"9" * 5000)):
+        with pytest.raises(MalformedHeaderError, match="is not an integer") as info:
+            load_pnm(header + bytes(10))
+        assert info.value.offset == header.index(token)
 
 
 def test_load_unsupported_maxval():

@@ -187,8 +187,8 @@ def test_convolve_and_window_mean_span_row_blocks():
 def test_band_halo_is_the_band_of_the_padded_field(data):
     # Shapes from 1x1 up, radii above the image side, and every band split:
     # top (y0 = 0), interior, bottom (y1 = h) and the single band (0, h).
-    # The filter's halos too: RGB samples as (3, rows, w) channel planes,
-    # here written into a caller's buffer, and uint8 labels.
+    # The filter's halos too: RGB samples as (3, rows, w) channel planes, and
+    # uint8 labels.
     h, w = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
     r = data.draw(st.integers(0, 30))
     y0 = data.draw(st.integers(0, h - 1))
@@ -198,8 +198,7 @@ def test_band_halo_is_the_band_of_the_padded_field(data):
     labels = (field % 6).astype(np.uint8)
     expected = pad_field(field, r)[y0:y1 + 2 * r]
     assert np.array_equal(_halo(field, y0, y1, r), expected)
-    planes = np.empty((3, y1 - y0 + 2 * r, w + 2 * r))
-    assert _halo(rgb, y0, y1, r, planes) is planes
+    planes = _halo(rgb, y0, y1, r)
     expected = np.moveaxis(pad_field(rgb, r), -1, 0)[:, y0:y1 + 2 * r]
     assert np.array_equal(planes, expected)
     band = _halo(labels, y0, y1, r)
