@@ -40,12 +40,14 @@ class Option(NamedTuple):
     help: str
     field: str  # the library parameter the value is passed as
     commands: tuple[str, ...]
+    choices: tuple[str, ...] = ()  # the values a str option takes; () for any
 
 
 _FILTER, _TEXTURE, _NOISE = ("filter",), ("filter", "texture"), ("add-noise",)
-# flag, type, default, help, library field, commands
+# flag, type, default, help, library field, commands[, choices]
 OPTIONS = tuple(Option(*row) for row in (
-    ("mode", str, "bilateral", "bilateral | multilateral | average", "mode", _FILTER),
+    ("mode", str, "bilateral", "bilateral | multilateral | average", "mode", _FILTER,
+     tuple(mode.value for mode in FilterMode)),
     ("radius", int, 2, "window radius m", "window_radius", _FILTER),
     ("sigma-d", float, 2.0, "spatial scale (pixels)", "sigma_d", _FILTER),
     ("sigma-r", float, 0.1, "range scale (intensity)", "sigma_r", _FILTER),
@@ -59,7 +61,7 @@ OPTIONS = tuple(Option(*row) for row in (
     ("density", float, 0.05, "salt-pepper corruption fraction", "density", _NOISE),
     ("std", float, 0.05, "gaussian standard deviation", "std", _NOISE),
     ("seed", int, 0, "PRNG seed", "seed", _NOISE),
-    ("report", str, "text", "text | csv | markdown", "report", ("metrics",)),
+    ("report", str, "text", "text | csv | markdown", "report", ("metrics",), REPORT_FORMATS),
     ("seed", int, DEFAULT_BASE_SEED, "base seed for all noise realizations", "base_seed",
      ("bench",)),
 ))
@@ -74,7 +76,7 @@ def _options(command: str) -> list[Option]:
 def _load_config(path: str, flags) -> dict:
     try:
         config = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON or UTF-8 decoding, deep nesting
         raise ValueError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"config {path} must hold a flat JSON object")
@@ -86,8 +88,12 @@ def _load_config(path: str, flags) -> dict:
 
 def _convert(opt: Option, value):
     """A flag or config value as the option's type; None selects the default."""
-    if value is None or opt.type is str:
-        return opt.default if value is None else value
+    if value is None:
+        return opt.default
+    if opt.choices and value not in opt.choices:
+        raise ValueError(f"{opt.flag} must be one of {', '.join(opt.choices)}; got {value!r}")
+    if opt.type is str:
+        return value
     try:
         if isinstance(value, bool) or (opt.type is int and isinstance(value, float)
                                        and not value.is_integer()):
@@ -127,87 +133,70 @@ def _echo_config(values: dict):
     print(f"config: {json.dumps(values, sort_keys=True)}", file=sys.stderr)
 
 
-def cmd_filter(args, values: dict) -> int:
-    modes = [m.value for m in FilterMode]
-    if values["mode"] not in modes:
-        raise ValueError(f"mode must be one of {', '.join(modes)}; got {values['mode']!r}")
-    mode = FilterMode(values["mode"])
+def _image_command(args, values: dict, op, timing: str = "", passes: int = 1):
+    """Read the input image, run `op` on it, echo the config, print the
+    `timing` line unless it is empty, and write the image `op` returns."""
+    img = _read_image(args.input)
+    start = time.perf_counter()
+    out = op(img)
+    s = time.perf_counter() - start
+    _echo_config(values)
+    if timing:
+        print(timing.format(w=img.width, h=img.height, s=s, p=s / passes), file=sys.stderr)
+    Path(args.output).write_bytes(save_pnm(out))
+
+
+def cmd_filter(args, values: dict):
     params = _construct(FilterParams, values)
     # Only multilateral mode classifies texture; other modes never read, and
     # so never check, the texture settings.
     texture_params = (_construct(TextureParams, values)
-                      if mode is FilterMode.MULTILATERAL else None)
-    img = _read_image(args.input)
-    start = time.perf_counter()
-    out = filter_image(img, params, mode, texture_params=texture_params)
-    elapsed = time.perf_counter() - start
-    _echo_config(values)
-    print(f"filtered {img.width}x{img.height} in {elapsed:.3f}s "
-          f"({elapsed / params.passes:.3f}s/pass)", file=sys.stderr)
-    Path(args.output).write_bytes(save_pnm(out))
-    return EXIT_OK
+                      if values["mode"] == "multilateral" else None)
+    _image_command(args, values, lambda img: filter_image(
+        img, params, values["mode"], texture_params=texture_params),
+        "filtered {w}x{h} in {s:.3f}s ({p:.3f}s/pass)", params.passes)
 
 
-def cmd_texture(args, values: dict) -> int:
+def cmd_texture(args, values: dict):
     texture_params = _construct(TextureParams, values)
-    img = _read_image(args.input)
-    start = time.perf_counter()
-    tex = compute_texture_map(img, texture_params)
-    elapsed = time.perf_counter() - start
-    _echo_config(values)
-    print(f"classified {img.width}x{img.height} in {elapsed:.3f}s", file=sys.stderr)
-    Path(args.output).write_bytes(save_pnm(texture_map_image(tex)))
-    return EXIT_OK
+    _image_command(args, values, lambda img: texture_map_image(
+        compute_texture_map(img, texture_params)), "classified {w}x{h} in {s:.3f}s")
 
 
-def cmd_add_noise(args, values: dict) -> int:
+def cmd_add_noise(args, values: dict):
     spec = _construct(NoiseSpec, values)
-    out = add_noise(_read_image(args.input), spec)
-    _echo_config(values)
-    Path(args.output).write_bytes(save_pnm(out))
-    return EXIT_OK
+    _image_command(args, values, lambda img: add_noise(img, spec))
 
 
-def cmd_metrics(args, values: dict) -> int:
-    report_format = values["report"]
-    if report_format not in REPORT_FORMATS:
-        raise ValueError(f"report must be one of {', '.join(REPORT_FORMATS)}; "
-                         f"got {report_format!r}")
+def cmd_metrics(args, values: dict):
     input_img = _read_image(args.input)
     filtered_img = _read_image(args.filtered)
     report = evaluate_pair(input_img, filtered_img)
-    pairs = [
-        ("snr_db", format_metric(report.snr_db, "identical")),
-        ("ep_horizontal", format_metric(report.ep_horizontal, "undefined")),
-        ("ep_vertical", format_metric(report.ep_vertical, "undefined")),
-    ]
+    pairs = [(name, format_metric(getattr(report, name), none_word)) for name, none_word in
+             (("snr_db", "identical"), ("ep_horizontal", "undefined"),
+              ("ep_vertical", "undefined"))]
     if args.clean:
         clean_img = _read_image(args.clean)
         pairs.append(("snr_clean_db", format_metric(snr(clean_img, filtered_img), "identical")))
     _echo_config(values)
 
-    if report_format == "text":
+    if values["report"] == "text":
         print("\n".join(f"{key}={value}" for key, value in pairs))
-    elif report_format == "csv":
+    elif values["report"] == "csv":
         print("\n".join(",".join(column) for column in zip(*pairs)))
     else:
         print(markdown_table(["metric", "value"], pairs))
-    return EXIT_OK
 
 
-def cmd_bench(args, values: dict) -> int:
+def cmd_bench(args, values: dict):
     images = [(Path(p).stem, _read_image(p)) for p in args.images] or None
     _echo_config(values)
-
     report = run_bench(images, values["seed"])
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / "bench.csv"
-    md_path = outdir / "bench.md"
-    csv_path.write_text(report_to_csv(report))
-    md_path.write_text(report_to_markdown(report))
-    print(f"wrote {csv_path} and {md_path}", file=sys.stderr)
-    return EXIT_OK
+    (outdir / "bench.csv").write_text(report_to_csv(report))
+    (outdir / "bench.md").write_text(report_to_markdown(report))
+    print(f"wrote {outdir / 'bench.csv'} and {outdir / 'bench.md'}", file=sys.stderr)
 
 
 # command: (handler, help, arguments added before the table's options)
@@ -249,7 +238,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args, _resolve(args))
+        args.handler(args, _resolve(args))  # returns on success, raises on failure
+        return EXIT_OK
     except (PnmError, OSError) as exc:
         print(f"edgekeep: error: {exc}", file=sys.stderr)
         return EXIT_IO

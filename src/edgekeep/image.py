@@ -22,6 +22,12 @@ LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 #: square, so an unbounded radius is an unbounded allocation.
 RADIUS_FLOOR = 64
 
+#: So is a radius r whose padded field, (height + 2r) x (width + 2r), holds
+#: more than AREA_FACTOR times max(height x width, RADIUS_FLOOR^2) samples:
+#: square images keep the side bound exactly, and a thin image, whose padded
+#: field would grow with the square of its one long side, pads in linear space.
+AREA_FACTOR = 9
+
 
 class PnmError(ValueError):
     """Defective PNM input; `offset` is the byte position of the defect."""
@@ -97,10 +103,17 @@ def sample_at(field: np.ndarray, xy):
     return field[min(max(int(y), 0), h - 1), min(max(int(x), 0), w - 1)]
 
 
+def check_real(name: str, value):
+    """`value`; a ValueError naming `name` unless it is a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def check_count(name: str, value, minimum: int | None = 1) -> int:
     """`value` as an int; a ValueError naming `name` unless an integer >= minimum
-    (any integer if None)."""
-    if not isinstance(value, numbers.Integral):
+    (any integer if None), and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
@@ -114,7 +127,7 @@ def check_sigma(name: str, value, finite: bool = False) -> None:
     with a square and an inverse square that are finite and nonzero. inf is
     the limit where the factor becomes 1; `finite` rejects it.
     """
-    if value == math.inf and not finite:
+    if check_real(name, value) == math.inf and not finite:
         return
     square = value * value
     if not (value > 0.0 and 0.0 < square and 0.0 < 0.5 / square < math.inf):
@@ -124,13 +137,20 @@ def check_sigma(name: str, value, finite: bool = False) -> None:
 
 
 def check_radius(name: str, value, shape, radius: int | None = None) -> None:
-    """A ValueError naming `name` unless the radius its `value` sets, `radius`
+    """A ValueError naming `name` unless the radius r its `value` sets, `radius`
     if given and `value` otherwise, is at most the largest of RADIUS_FLOOR and
-    the height and width of an image of `shape`."""
-    limit = max((*shape[:2], RADIUS_FLOOR))
-    if (value if radius is None else radius) > limit:
+    the height and width of an image of `shape`, and pads it to at most
+    AREA_FACTOR * max(height * width, RADIUS_FLOOR**2) samples."""
+    sides, r = shape[:2], value if radius is None else radius
+    limit = max((*sides, RADIUS_FLOOR))
+    if r > limit:
         raise ValueError(f"{name} {value} sets a radius above {limit}, the largest "
                          f"of the image height, width and {RADIUS_FLOOR}")
+    padded = math.prod(side + 2 * r for side in sides)
+    if padded > AREA_FACTOR * max(math.prod(sides), RADIUS_FLOOR ** 2):
+        raise ValueError(f"{name} {value} pads the {' x '.join(map(str, sides))} image "
+                         f"(rows x columns) by {r} to {padded} samples, more than "
+                         f"{AREA_FACTOR} times the larger of its area and {RADIUS_FLOOR}^2")
 
 
 def to_grayscale(img: ImageBuffer) -> ImageBuffer:
@@ -172,13 +192,16 @@ def _read_int(data: bytes, pos: int, what: str):
 
 
 def load_pnm(data: bytes) -> ImageBuffer:
-    """Decode the first image of a binary PGM (P5) or PPM (P6) byte string.
+    """Decode the first image of a binary PGM (P5) or PPM (P6) byte string, or
+    of any bytes-like object, which is read as the bytes it holds.
 
     Samples are scaled to [0, 1] by the declared maxval. Only maxval 255
     (1 byte/sample) and 65535 (2 bytes/sample, big-endian) are supported.
     Bytes after the first image's payload are ignored: a Netpbm file may hold
     several images in a row, and this reads the first.
     """
+    # bytes(n) of an int n would be n zero bytes; memoryview takes buffers only
+    data = data if isinstance(data, bytes) else bytes(memoryview(data))
     magic, magic_at, pos = _read_token(data, 0, "magic number")
     if magic not in (b"P5", b"P6"):
         raise MalformedHeaderError(f"expected P5 or P6 magic, got {magic!r}", magic_at)

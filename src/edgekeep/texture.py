@@ -28,7 +28,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .image import ImageBuffer, check_count, check_radius, check_sigma, to_grayscale
+from .image import (ImageBuffer, check_count, check_radius, check_real, check_sigma,
+                    to_grayscale)
 from .kernels import _run_bands, convolve, gaussian_derivative_taps, window_mean
 
 #: Sub-band orientations in their fixed order (degrees).
@@ -90,9 +91,10 @@ class TextureParams:
     def __post_init__(self):
         object.__setattr__(self, "energy_window_radius",
                            check_count("energy_window_radius", self.energy_window_radius))
-        if self.smooth_threshold is not None and not self.smooth_threshold >= 0.0:
+        threshold = self.smooth_threshold
+        if threshold is not None and not check_real("smooth_threshold", threshold) >= 0.0:
             raise ValueError(f"smooth_threshold must be >= 0, got {self.smooth_threshold}")
-        if not 0.0 < self.complex_ratio <= 1.0:
+        if not 0.0 < check_real("complex_ratio", self.complex_ratio) <= 1.0:
             raise ValueError(f"complex_ratio must lie in (0, 1], got {self.complex_ratio}")
         check_sigma("sigma_g", self.sigma_g, finite=True)
 

@@ -139,6 +139,21 @@ def test_unknown_config_key_rejected(tmp_path, gray_file, capsys):
     assert "sigma-x" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"{", "Expecting property name"),
+    (b"[" * 100000 + b"]" * 100000, "maximum recursion depth"),
+    (bytes(range(256)), "codec can't decode"),
+], ids=["truncated", "deeply-nested", "binary"])
+def test_undecodable_config_is_usage_error(tmp_path, gray_file, capsys, content, reason):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    code = main(["filter", "--config", str(cfg), gray_file, str(tmp_path / "o.pgm")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"edgekeep: error: config {cfg} is not valid JSON: ")
+    assert reason in err and "Traceback" not in err
+
+
 def _echo_line(capsys) -> str:
     lines = [line for line in capsys.readouterr().err.splitlines()
              if line.startswith("config: ")]
@@ -251,6 +266,27 @@ def test_radius_above_image_bound_is_usage_error(tmp_path, capsys, argv, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["filter", "--radius=65536"], "radius"),
+    (["filter", "--radius=4"], "radius"),
+    (["filter", "--mode=multilateral", "--radius=3000"], "radius"),
+    (["texture", "--energy-radius=65536"], "energy-radius"),
+    (["texture", "--sigma-g=21845"], "sigma-g"),
+])
+def test_radius_padding_a_thin_image_past_the_area_bound_is_usage_error(tmp_path, capsys,
+                                                                        argv, flag):
+    # A 1 x 65536 image allows r <= 3: its padded area (1 + 2r)(65536 + 2r) may
+    # not pass 9 times its own area.
+    thin = ImageBuffer(np.random.default_rng(2).random((1, 65536)))
+    src = write_pnm(tmp_path / "thin.pgm", thin)
+    assert main(["filter", "--radius=3", src, str(tmp_path / "b.pgm")]) == 0
+    capsys.readouterr()
+    assert main(argv + [src, str(tmp_path / "b.pgm")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"edgekeep: error: {flag} ") and "pads the 1 x 65536 image" in err
+    assert "Traceback" not in err
+
+
 def test_radius_bound_is_largest_of_image_side_and_floor(tmp_path):
     small = write_pnm(tmp_path / "a.pgm", ImageBuffer(np.zeros((8, 8))))
     wide = write_pnm(tmp_path / "w.pgm", ImageBuffer(np.zeros((2, 70))))
@@ -288,6 +324,33 @@ def test_readme_flags_match_parser(capsys):
         assert main([command, "--help"]) == 0
         in_parser |= set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
     assert documented == in_parser - {"--help"}
+
+
+_ELAPSED = r"\d+\.\d{3}s"
+
+
+def test_image_commands_print_the_config_then_their_timing_line(tmp_path, gray_file, capsys):
+    filter_config = ('{"complex-ratio": 0.8, "energy-radius": 2, "mode": "bilateral", '
+                     '"passes": 2, "radius": 2, "sigma-d": 2.0, "sigma-g": 1.0, '
+                     '"sigma-r": 0.1, "sigma-t": 1.0, "smooth-threshold": null}')
+    texture_config = ('{"complex-ratio": 0.8, "energy-radius": 2, "sigma-g": 1.0, '
+                      '"smooth-threshold": null}')
+    noise_config = '{"density": 0.05, "noise": "salt-pepper", "seed": 0, "std": 0.05}'
+    runs = {
+        "filter": [re.escape(f"config: {filter_config}"),
+                   rf"filtered 10x12 in {_ELAPSED} \({_ELAPSED}/pass\)"],
+        "texture": [re.escape(f"config: {texture_config}"), f"classified 10x12 in {_ELAPSED}"],
+        "add-noise": [re.escape(f"config: {noise_config}")],  # no timing line
+    }
+    for command, patterns in runs.items():
+        extra = ["--passes=2"] if command == "filter" else []
+        assert main([command] + extra + [gray_file, str(tmp_path / "o.pgm")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == len(patterns), lines
+        for line, pattern in zip(lines, patterns):
+            assert re.fullmatch(pattern, line), line
 
 
 def test_texture_constant_input_all_smooth_level(tmp_path):
@@ -424,6 +487,11 @@ _VALID = {
     "seed": st.integers(-2**70, 2**70),
     "report": st.sampled_from(["text", "csv", "markdown"]),
 }
+# Radii past the bound of every fuzzed image: 64 for the 8 x 8 ones, and
+# below 8 for the thin ones, whose padded area bounds them (image.AREA_FACTOR).
+for flag in ("radius", "energy-radius"):
+    _VALID[flag] |= st.integers(65, 2**17)
+_VALID["sigma-g"] |= st.floats(21.5, 2.0**17)  # steerable radius 66 and up
 # Out of every option's range, or of its type; none of these is a small
 # valid radius or pass count.
 _INVALID = st.one_of(
@@ -440,6 +508,9 @@ def fuzz_dir(tmp_path_factory):
     rng = np.random.default_rng(3)
     write_pnm(path / "gray.pgm", ImageBuffer(rng.random((8, 8))))
     write_pnm(path / "rgb.ppm", ImageBuffer(rng.random((8, 8, 3))))
+    write_pnm(path / "row.pgm", ImageBuffer(rng.random((1, 4096))))
+    write_pnm(path / "column.pgm", ImageBuffer(rng.random((4096, 1))))
+    write_pnm(path / "two-rows.ppm", ImageBuffer(rng.random((2, 4096, 3))))
     return path
 
 
@@ -467,7 +538,8 @@ def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):
             config = data.draw(st.just(config) | _INVALID)
         (fuzz_dir / "config.json").write_text(json.dumps(config))
         argv += ["--config", str(fuzz_dir / "config.json")]
-    images = st.sampled_from(["gray.pgm", "rgb.ppm", "absent.pgm"])
+    images = st.sampled_from(["gray.pgm", "rgb.ppm", "row.pgm", "column.pgm", "two-rows.ppm",
+                              "absent.pgm"])
     argv.append(str(fuzz_dir / data.draw(images)))
     if command == "metrics":
         argv.append(str(fuzz_dir / data.draw(images)))

@@ -7,20 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgekeep.filters import FilterParams
 from edgekeep.image import (
+    AREA_FACTOR,
     LUMA_WEIGHTS,
+    RADIUS_FLOOR,
     ImageBuffer,
     MalformedHeaderError,
     PnmError,
     TruncatedPayloadError,
     UnsupportedMaxvalError,
+    check_radius,
     load_pnm,
     sample_at,
     save_pnm,
     to_grayscale,
 )
 from edgekeep.noise import NOISE_KINDS, NoiseSpec, add_noise
-from edgekeep.texture import TextureMap, texture_map_image
+from edgekeep.kernels import _run_bands
+from edgekeep.texture import TextureMap, TextureParams, texture_map_image
 
 
 # --- ImageBuffer invariants ---
@@ -95,6 +100,22 @@ def test_load_header_with_a_long_comment():
     img = load_pnm(b"P5\n" + comment + b"2 1\n" + comment + b"255\n" + bytes([5, 7]))
     assert (img.width, img.height) == (2, 1)
     assert np.array_equal(img.pixels, [[5 / 255, 7 / 255]])
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview, lambda b: memoryview(bytearray(b))])
+def test_load_reads_any_bytes_like_object_as_its_bytes(wrap):
+    for data in (b"P5\n3 2\n255\n" + bytes(range(6)),
+                 b"P6 1 1 65535\n" + bytes(range(6)) + b"trailing"):
+        assert np.array_equal(load_pnm(wrap(data)).pixels, load_pnm(data).pixels)
+    bad = b"P5\n3 +2\n255\n" + bytes(6)
+    with pytest.raises(MalformedHeaderError, match=r"byte offset 5\)$"):
+        load_pnm(wrap(bad))
+
+
+@pytest.mark.parametrize("not_bytes", [5, 10**12, "P5 1 1 255 x", None])
+def test_load_rejects_what_is_not_bytes_like(not_bytes):
+    with pytest.raises(TypeError):
+        load_pnm(not_bytes)
 
 
 def test_load_truncated_payload_reports_offset():
@@ -312,3 +333,57 @@ def test_mutated_pnm_loads_or_raises_pnm_error(data):
     except PnmError:
         return
     assert isinstance(img, ImageBuffer)
+
+
+# --- the library's number and radius rules ---
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: FilterParams(sigma_d=True), "sigma_d"),
+    (lambda: FilterParams(window_radius=True), "window_radius"),
+    (lambda: FilterParams(passes=True), "passes"),
+    (lambda: FilterParams(sigma_r="0.1"), "sigma_r"),
+    (lambda: FilterParams(sigma_t=None), "sigma_t"),
+    (lambda: TextureParams(complex_ratio="0.5"), "complex_ratio"),
+    (lambda: TextureParams(smooth_threshold="0.1"), "smooth_threshold"),
+    (lambda: TextureParams(sigma_g=np.bool_(True)), "sigma_g"),
+    (lambda: NoiseSpec("gaussian", density=True), "density"),
+    (lambda: NoiseSpec("gaussian", std="1"), "std"),
+    (lambda: NoiseSpec("gaussian", std=1j), "std"),
+    (lambda: NoiseSpec("gaussian", seed=False), "seed"),
+])
+def test_params_reject_bools_and_non_real_values_naming_the_field(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        make()
+
+
+def _accepts(shape, r) -> bool:
+    try:
+        check_radius("radius", r, shape)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("shape, largest", [
+    ((8, 8), 64), ((64, 64), 64), ((100, 100), 100), ((1024, 1024), 1024), ((2, 70), 70),
+    ((1, 65536), 3), ((65536, 1), 3), ((100, 1000), 250), ((1, 1), 64)])
+def test_largest_accepted_radius(shape, largest):
+    # Square images keep the side bound max(h, w, 64); thin ones the area bound.
+    assert _accepts(shape, largest) and not _accepts(shape, largest + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.integers(1, 5000), w=st.integers(1, 5000), data=st.data())
+def test_every_accepted_radius_pads_within_the_area_bound(h, w, data):
+    # Shapes only: the bands _run_bands cuts are recorded, and the slab
+    # (y1 - y0 + 2r) x (w + 2r) each one's kernels._halo would build is sized
+    # from them, nothing allocated.
+    r = data.draw(st.integers(0, 8) | st.integers(0, max(h, w, RADIUS_FLOOR) + 1))
+    if not _accepts((h, w), r):
+        return
+    assert r <= max(h, w, RADIUS_FLOOR)
+    bands = []
+    _run_bands(h, w + 2 * r, lambda y0, y1: bands.append((y0, y1)))
+    assert sorted(bands)[0][0] == 0 and sum(y1 - y0 for y0, y1 in bands) == h
+    slabs = [(y1 - y0 + 2 * r) * (w + 2 * r) for y0, y1 in bands]
+    assert max(slabs) <= AREA_FACTOR * max(h * w, RADIUS_FLOOR ** 2)

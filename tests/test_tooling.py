@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from edgekeep.filters import PASSES_LIMIT
-from edgekeep.image import RADIUS_FLOOR
+from edgekeep.image import AREA_FACTOR, RADIUS_FLOOR
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -45,6 +45,8 @@ def test_readme_bounds_match_the_library():
     text = " ".join(paragraph.split())
     assert re.findall(r"more than (\d+) passes", text) == [str(PASSES_LIMIT)]
     assert re.findall(r"height, width and (\d+)", text) == [str(RADIUS_FLOOR)]
+    assert re.findall(r"past (\d+) times the larger of its area h x w and (\d+)²", text) == \
+        [(str(AREA_FACTOR), str(RADIUS_FLOOR))]
 
 
 def _load_bench_record():
