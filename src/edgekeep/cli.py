@@ -134,8 +134,8 @@ def _echo_config(values: dict):
 
 
 def _image_command(args, values: dict, op, timing: str = "", passes: int = 1):
-    """Read the input image, run `op` on it, echo the config, print the
-    `timing` line unless it is empty, and write the image `op` returns."""
+    """Read the input image, run `op`, echo the config, print `timing` (formatted
+    with w, h, s seconds and p per pass; none if empty) and write op's image."""
     img = _read_image(args.input)
     start = time.perf_counter()
     out = op(img)
