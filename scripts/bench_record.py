@@ -1,6 +1,6 @@
 """Fold perfbench result files into one committed BENCH_<n>.json record.
 
-    python3 scripts/bench_record.py OUT.json NAME=DIR [NAME=DIR ...]
+    python3 scripts/bench_record.py OUT.json NAME=DIR [NAME=DIR ...] [STAGES.json]
 
 for example `BENCH_1.json parent=A/perfbench/results change=B/perfbench/results`.
 
@@ -17,6 +17,10 @@ Every side after the first is also compared with the first, seed by seed, in
 the direction BENCHMARK.json declares for each end-to-end metric, and given a
 verdict against that metric's bound (see verdict); so is its speed factor,
 which scales every metric but peak_rss_mb.
+
+An argument without "=" names the JSON that scripts/stages.py printed; it
+becomes the record's `stages` section, each tree after the first compared with
+the first per stage and clock (see fold_stages).
 """
 
 from __future__ import annotations
@@ -152,12 +156,29 @@ def compare(base: dict, other: dict, end_to_end: list[dict]) -> dict:
     return out
 
 
+def fold_stages(stages: dict) -> dict:
+    """scripts/stages.py's output plus, for each tree after the first, per stage
+    and clock: the ratio of its median MP/s to the first tree's and the rounds
+    in which it ran faster (paired, as the rounds interleave the trees)."""
+    first, *others = stages["order"]
+    comparisons: dict = {tree: {} for tree in others}
+    for stage, entry in stages["stages"].items():
+        base = entry["trees"][first]
+        for tree in others:
+            comparisons[tree][stage] = {
+                clock: dict(paired(base[clock]["values"], entry["trees"][tree][clock]["values"],
+                                   "higher"), rounds=len(base[clock]["values"]))
+                for clock in base}
+    return dict(stages, compared_with=first, comparisons=comparisons)
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) < 2 or not all("=" in arg for arg in argv[1:]):
+    sides = [arg.split("=", 1) for arg in argv[1:] if "=" in arg]
+    stages = [arg for arg in argv[1:] if "=" not in arg]
+    if not sides or len(stages) > 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    sides = [arg.split("=", 1) for arg in argv[1:]]
     runs = {name: load_side(Path(directory)) for name, directory in sides}
     first = sides[0][0]
     record = {
@@ -166,6 +187,8 @@ def main(argv: list[str]) -> int:
         "comparisons": {name: compare(runs[first], runs[name], spec["end_to_end"])
                         for name, _ in sides[1:]},
     }
+    if stages:
+        record["stages"] = fold_stages(json.loads(Path(stages[0]).read_text()))
     Path(argv[0]).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 

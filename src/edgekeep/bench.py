@@ -14,6 +14,9 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import csv
+import io
+import re
 import zlib
 from dataclasses import dataclass, replace
 
@@ -65,9 +68,9 @@ def default_images() -> list[tuple[str, ImageBuffer]]:
 
 def cell_seed(base_seed: int, label: str) -> int:
     """Stable per-cell seed derivation from any integer base_seed, independent
-    of cell ordering."""
+    of cell ordering; a file name's undecodable bytes hash as those bytes."""
     base_seed = check_count("base_seed", base_seed, minimum=None)
-    return (base_seed ^ zlib.crc32(label.encode())) & 0xFFFFFFFFFFFFFFFF
+    return (base_seed ^ zlib.crc32(label.encode("utf-8", "surrogateescape"))) % 2**64
 
 
 def _row(image: str, noise: str, param: str, label: str, report) -> BenchRow:
@@ -141,8 +144,10 @@ def format_metric(value: float | None, none_word: str = "") -> str:
 
 
 def markdown_table(header, rows) -> str:
-    """A markdown table of a header and rows, each a sequence of cell strings."""
-    lines = [header, ["---"] * len(header), *rows]
+    """A markdown table of a header and rows, each a sequence of cell strings;
+    backslashes and pipes in a cell are escaped, and line breaks become <br>."""
+    lines = [[re.sub(r"\r\n?|\n", "<br>", cell.replace("\\", r"\\").replace("|", r"\|"))
+              for cell in cells] for cells in [header, ["---"] * len(header), *rows]]
     return "\n".join("| " + " | ".join(cells) + " |" for cells in lines)
 
 
@@ -152,7 +157,11 @@ def _cells(row: BenchRow) -> list[str]:
 
 
 def report_to_csv(report: BenchReport) -> str:
-    return "\n".join([CSV_HEADER] + [",".join(_cells(r)) for r in report.all_rows()]) + "\n"
+    """CSV with \\n line ends; a field holding a comma, quote or line break is quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [CSV_HEADER.split(","), *map(_cells, report.all_rows())])
+    return out.getvalue()
 
 
 #: The markdown report's sections: a BenchReport field and its heading.

@@ -194,8 +194,8 @@ def cmd_bench(args, values: dict):
     report = run_bench(images, values["seed"])
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "bench.csv").write_text(report_to_csv(report))
-    (outdir / "bench.md").write_text(report_to_markdown(report))
+    for name, write in (("bench.csv", report_to_csv), ("bench.md", report_to_markdown)):
+        (outdir / name).write_text(write(report), encoding="utf-8", errors="surrogateescape")
     print(f"wrote {outdir / 'bench.csv'} and {outdir / 'bench.md'}", file=sys.stderr)
 
 

@@ -6,18 +6,19 @@ band threads (kernels._run_bands); each band pads its own rows into channel
 planes (kernels._halo, which repeats the edge rows and columns), walks window
 offsets as contiguous shifts of those planes flattened, and writes its rows of
 the output in place. Every pixel sees the same operations in the same order
-whatever the band size or core count, so the output depends on neither.
-The oracle variant is a literal per-pixel transcription kept for equivalence
-testing; it samples pixels and labels, gray and RGB alike, through
-image.sample_at, which clamps coordinates to the nearest edge pixel. Every
-weight factor is symmetric in the pixel pair, so the engine computes one
-weight per unordered pair, w(x, x + d) == w(x + d, x), and applies it to all
-channels and to both ends of the pair. Each window is summed in mirror quads,
-{+d, -d} pairs whose total no horizontal or vertical flip changes, so flipped
-inputs produce exactly flipped outputs. A weight is one exp of its summed
-exponents, floored at -700 where exp would slow. Each quad's numerators and
-denominator are stacked in one (c + 1)-row sum, its denominator row in
-average mode the unit weights' 2.0 per pair, so all modes add and divide alike.
+whatever the band size or core count, so the output depends on neither. The
+oracle transcribes a pass literally, pixel by pixel, for equivalence testing,
+under the same pass driver (_passes); it samples pixels and labels, gray and
+RGB alike, through image.sample_at, which clamps coordinates to the nearest
+edge pixel. Every weight factor is symmetric in the pixel pair, so the engine
+computes one weight per unordered pair, w(x, x + d) == w(x + d, x), and applies
+it to all channels and to both ends of the pair. Each window is summed in
+mirror quads, {+d, -d} pairs whose total no horizontal or vertical flip
+changes, so flipped inputs produce exactly flipped outputs. A weight is one exp
+of its summed exponents, floored at -700 where exp would slow. Each quad's
+numerators and denominator are stacked in one (c + 1)-row sum, its denominator
+row in average mode the unit weights' 2.0 per pair, so all modes add and divide
+alike.
 """
 
 from __future__ import annotations
@@ -93,21 +94,6 @@ def weight_multilateral(x, xi, img: ImageBuffer, tex: TextureMap,
     return weight_bilateral(x, xi, img, params) * texture_factor
 
 
-def _resolve_texture(current: ImageBuffer, pass_index: int, supplied: TextureMap | None,
-                     texture_params: TextureParams | None) -> TextureMap:
-    # A caller-supplied map covers the first pass; later passes reclassify
-    # the pass input.
-    if pass_index == 0 and supplied is not None:
-        tex = supplied
-    else:
-        tex = compute_texture_map(current, texture_params)
-    if tex.shape != (current.height, current.width):
-        raise ValueError(
-            f"texture map shape {tex.shape} does not match image "
-            f"{(current.height, current.width)}")
-    return tex
-
-
 def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: FilterParams,
                  weighted: bool, out: np.ndarray) -> None:
     """Filter one row band into `out`, its rows of the output's (c, h, w) planes.
@@ -147,28 +133,27 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
         fwd, bwd = slice(s, s + n_kept), slice(0, n_kept)
         diff = diffs[:, :n]
         np.subtract(flat[:, ahead], flat[:, centres], out=diff)
-        if not weighted:
+        if weighted:
+            weight = weights[:n]
+            np.square(diff[0], out=weight)
+            for plane in diff[1:]:
+                weight += np.square(plane, out=squares[:n])
+            np.multiply(weight, neg_inv_2sr2, out=weight)
+            spatial = (di * di + dj * dj) * inv_2sd2
+            weight -= spatial
+            if flat_labels is not None:
+                np.not_equal(flat_labels[ahead], flat_labels[centres], out=differs[:n])
+                weight += np.multiply(differs[:n], neg_inv_2st2, out=squares[:n])
+            # exp is tenfold slower and more near underflow; raising a weight to
+            # e^-700 (about 1e-304) moves an output by at most that per neighbour.
+            if lowest - spatial < -700.0:
+                np.maximum(weight, -700.0, out=weight)
+            np.exp(weight, out=weight)
+            diff *= weight
+            np.add(weight[fwd], weight[bwd], out=sums[c])
+        else:
             sums[c] = 2.0
-            np.subtract(diff[:, fwd], diff[:, bwd], out=sums[:c])
-            return
-        weight = weights[:n]
-        np.square(diff[0], out=weight)
-        for plane in diff[1:]:
-            weight += np.square(plane, out=squares[:n])
-        np.multiply(weight, neg_inv_2sr2, out=weight)
-        spatial = (di * di + dj * dj) * inv_2sd2
-        weight -= spatial
-        if flat_labels is not None:
-            np.not_equal(flat_labels[ahead], flat_labels[centres], out=differs[:n])
-            weight += np.multiply(differs[:n], neg_inv_2st2, out=squares[:n])
-        # exp is tenfold slower and more near underflow; raising a weight to
-        # e^-700 (about 1e-304) moves an output by at most that per neighbour.
-        if lowest - spatial < -700.0:
-            np.maximum(weight, -700.0, out=weight)
-        np.exp(weight, out=weight)
-        diff *= weight
         np.subtract(diff[:, fwd], diff[:, bwd], out=sums[:c])
-        np.add(weight[fwd], weight[bwd], out=sums[c])
 
     # Contributions accumulate relative to the center sample, so constant
     # regions pass through bit-exact (every diff is exactly zero); the center
@@ -198,12 +183,11 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
     np.clip(kept[:c], 0.0, 1.0, out=out)
 
 
-def _filter_pass(pixels: np.ndarray, mode: FilterMode, params: FilterParams,
-                 labels: np.ndarray | None) -> np.ndarray:
-    """One pass over (h, w) or (h, w, 3) samples, in row bands on the band
-    threads, into a new array of their shape."""
-    out = np.empty(pixels.shape)
-    pixels = pixels.reshape(pixels.shape[0], pixels.shape[1], -1)  # (h, w, c), c = 1 for gray
+def _filter_pass(current: ImageBuffer, mode: FilterMode, params: FilterParams,
+                 tex: TextureMap | None) -> ImageBuffer:
+    """One pass in row bands on the band threads, into a buffer that adopts its output."""
+    out = np.empty(current.pixels.shape)
+    pixels = current.pixels.reshape(current.height, current.width, -1)  # c = 1 for gray
     (h, w, c), m = pixels.shape, params.window_radius
     planes = np.moveaxis(out.reshape(h, w, c), -1, 0)  # each band writes its rows here
     weighted = mode is not FilterMode.AVERAGE
@@ -211,11 +195,53 @@ def _filter_pass(pixels: np.ndarray, mode: FilterMode, params: FilterParams,
     def band(y0: int, y1: int) -> None:
         # A band pads its own rows into channel planes, so per-channel
         # arithmetic runs over contiguous rows.
-        band_labels = None if labels is None else _halo(labels, y0, y1, m).ravel()
+        band_labels = None if tex is None else _halo(tex.labels, y0, y1, m).ravel()
         _filter_band(_halo(pixels, y0, y1, m), band_labels, params, weighted, planes[:, y0:y1])
 
     _run_bands(h, c * (w + 2 * m), band)
-    return out
+    return ImageBuffer._adopt(out)
+
+
+def _oracle_pass(current: ImageBuffer, mode: FilterMode, params: FilterParams,
+                 tex: TextureMap | None) -> ImageBuffer:
+    """One pass as a nested loop over every pixel and window member."""
+    m = params.window_radius
+    out = np.empty(current.pixels.shape)
+    for y in range(current.height):
+        for x in range(current.width):
+            accum = total = 0.0  # accum turns into a channel vector for RGB
+            for j in range(-m, m + 1):
+                for i in range(-m, m + 1):
+                    xi = (x + i, y + j)
+                    if mode is FilterMode.AVERAGE:
+                        weight = 1.0
+                    elif mode is FilterMode.BILATERAL:
+                        weight = weight_bilateral((x, y), xi, current, params)
+                    else:
+                        weight = weight_multilateral((x, y), xi, current, tex, params)
+                    accum = accum + sample_at(current.pixels, xi) * weight
+                    total += weight
+            out[y, x] = accum / total
+    return ImageBuffer(np.clip(out, 0.0, 1.0))
+
+
+def _passes(one_pass, img: ImageBuffer, params: FilterParams | None, mode: FilterMode | str,
+            texture: TextureMap | None, texture_params: TextureParams | None) -> ImageBuffer:
+    """Apply one_pass(img, mode, params, tex) params.passes times. tex is None but in
+    multilateral mode: the supplied map on the first pass, else the pass input's map."""
+    params = params or FilterParams()
+    mode = FilterMode(mode)
+    check_radius("window_radius", params.window_radius, img.pixels.shape)
+    for pass_index in range(params.passes):
+        tex = None  # the last pass's map is let go before this pass's is made
+        if mode is FilterMode.MULTILATERAL:
+            tex = (texture if pass_index == 0 and texture is not None
+                   else compute_texture_map(img, texture_params))
+            if tex.shape != (img.height, img.width):
+                raise ValueError(f"texture map shape {tex.shape} does not match image "
+                                 f"{(img.height, img.width)}")
+        img = one_pass(img, mode, params, tex)
+    return img
 
 
 def filter_image(img: ImageBuffer, params: FilterParams | None = None,
@@ -232,17 +258,7 @@ def filter_image(img: ImageBuffer, params: FilterParams | None = None,
     a convex combination of window samples). A window radius above the image
     bound (image.check_radius) raises a ValueError before the first pass.
     """
-    params = params or FilterParams()
-    mode = FilterMode(mode)
-    check_radius("window_radius", params.window_radius, img.pixels.shape)
-
-    current = img
-    for pass_index in range(params.passes):
-        labels = None if mode is not FilterMode.MULTILATERAL else _resolve_texture(
-            current, pass_index, texture, texture_params).labels
-        current = ImageBuffer._adopt(_filter_pass(current.pixels, mode, params, labels))
-        del labels  # not held through the next pass
-    return current
+    return _passes(_filter_pass, img, params, mode, texture, texture_params)
 
 
 def filter_oracle(img: ImageBuffer, params: FilterParams | None = None,
@@ -251,36 +267,8 @@ def filter_oracle(img: ImageBuffer, params: FilterParams | None = None,
                   texture_params: TextureParams | None = None) -> ImageBuffer:
     """Literal nested-loop transcription of the filter; test oracle only.
 
-    Walks every pixel and window member, evaluating the per-pair weight
-    functions directly. No vectorization, no shared subexpressions beyond
-    the weight functions themselves. Its window radius is bounded as
-    filter_image's is.
+    Each pass walks every pixel and window member, evaluating the per-pair
+    weight functions directly, with no vectorization and no shared
+    subexpressions. It runs filter_image's pass driver: same passes, maps and bound.
     """
-    params = params or FilterParams()
-    mode = FilterMode(mode)
-    m = params.window_radius
-    check_radius("window_radius", m, img.pixels.shape)
-
-    current = img
-    for pass_index in range(params.passes):
-        tex = None
-        if mode is FilterMode.MULTILATERAL:
-            tex = _resolve_texture(current, pass_index, texture, texture_params)
-        out = np.empty(current.pixels.shape)
-        for y in range(current.height):
-            for x in range(current.width):
-                accum = total = 0.0  # accum turns into a channel vector for RGB
-                for j in range(-m, m + 1):
-                    for i in range(-m, m + 1):
-                        xi = (x + i, y + j)
-                        if mode is FilterMode.AVERAGE:
-                            weight = 1.0
-                        elif mode is FilterMode.BILATERAL:
-                            weight = weight_bilateral((x, y), xi, current, params)
-                        else:
-                            weight = weight_multilateral((x, y), xi, current, tex, params)
-                        accum = accum + sample_at(current.pixels, xi) * weight
-                        total += weight
-                out[y, x] = accum / total
-        current = ImageBuffer(np.clip(out, 0.0, 1.0))
-    return current
+    return _passes(_oracle_pass, img, params, mode, texture, texture_params)

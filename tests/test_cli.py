@@ -1,8 +1,12 @@
 """CLI behavior: commands, config handling, exit codes, and determinism."""
 
+import csv as csv_module
+import inspect
 import json
 import math
+import os
 import re
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from edgekeep.bench import run_bench
 from edgekeep.cli import OPTIONS, main
+from edgekeep.filters import FilterParams, filter_image
 from edgekeep.image import ImageBuffer, load_pnm, save_pnm
+from edgekeep.noise import NoiseSpec
 from edgekeep.synth import grating, step_edge
-from edgekeep.texture import steerable_radius
+from edgekeep.texture import TextureParams, steerable_radius
 
 
 def write_pnm(path, img):
@@ -466,6 +473,44 @@ def test_bench_user_images(tmp_path):
     assert main(["bench", str(out), str(img), "--seed", "3"]) == 0
     csv = (out / "bench.csv").read_text()
     assert "custom," in csv
+
+
+def test_bench_reports_quote_any_image_name(tmp_path):
+    # Each file stem becomes an `image` cell, whatever characters or bytes
+    # the file name holds.
+    stems = ["a,b", 'q"t', "c|d", "e\nf", os.fsdecode(b"\xff")]
+    paths = [write_pnm(tmp_path / f"{stem}.pgm", step_edge(16)) for stem in stems]
+    out = tmp_path / "r"
+    assert main(["bench", str(out), *paths, "--seed", "3"]) == 0
+    with open(out / "bench.csv", newline="", encoding="utf-8", errors="surrogateescape") as f:
+        rows = list(csv_module.reader(f))
+    assert {len(row) for row in rows} == {7}
+    assert {row[0] for row in rows[1:]} >= set(stems)
+    table_rows = [line for line in (out / "bench.md").read_bytes().split(b"\n")
+                  if line.startswith(b"|")]
+    assert len(table_rows) == len(rows) - 1 + 6  # a header and a rule per section
+    assert {len(re.split(rb"(?<!\\)\|", row)) - 2 for row in table_rows} == {7}
+
+
+def test_option_defaults_match_the_library():
+    # OPTIONS repeats each library default; neither side may change alone. The
+    # report format and the noise kind have none in the library: the CLI's own.
+    library = {"filter": (FilterParams, filter_image), "texture": (TextureParams,),
+               "add-noise": (NoiseSpec,), "bench": (run_bench,)}
+    checked = []
+    for opt in OPTIONS:
+        if opt.commands == ("metrics",):
+            continue
+        found = [parameters[opt.field]
+                 for make in {make for command in opt.commands for make in library[command]}
+                 if opt.field in (parameters := inspect.signature(make).parameters)]
+        assert len(found) == 1, opt.flag
+        if (default := found[0].default) is inspect.Parameter.empty:
+            continue
+        default = default.value if isinstance(default, Enum) else default
+        assert (default, type(default)) == (opt.default, type(opt.default)), opt.flag
+        checked.append(opt.flag)
+    assert len(checked) == len(OPTIONS) - 2
 
 
 def test_usage_error_without_command(capsys):

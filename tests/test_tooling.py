@@ -1,10 +1,13 @@
-"""Tooling: the traced function names, the perf-record script, and the README's
-figures for the library's bounds."""
+"""Tooling: the traced function names, the perf-record and stage scripts, and
+the README's figures for the library's bounds."""
 
 import ast
 import importlib.util
 import json
+import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,6 +148,70 @@ def test_bench_record_compares_the_speed_factor_per_pair(tmp_path):
     assert factor == {"ratio_of_medians": pytest.approx(1.28 / 1.225), "higher_pairs": 3,
                       "pairs": 4}
     assert rows["gray_multilateral_1024"]["op_s.p50"]["raw_better_pairs"] == 4
+
+
+STAGES = {"load_pnm", "save_pnm", "decompose", "local_energy", "classify",
+          "compute_texture_map", "filter_pass.bilateral", "filter_pass.multilateral",
+          "filter_pass.average", "evaluate_pair", "run_bench"}
+
+
+def test_stage_script_times_every_stage_of_each_tree(tmp_path):
+    # The same tree twice, under two names: each is its own package in one process.
+    root = SPANS.parent.parent
+    done = subprocess.run([sys.executable, str(root / "scripts" / "stages.py"),
+                           f"b={root / 'src'}", f"a={root / 'src'}", "--size", "32",
+                           "--rounds", "2"],
+                          capture_output=True, text=True, timeout=300, check=True)
+    stages = json.loads(done.stdout)
+    assert stages["order"] == ["b", "a"]
+    assert stages["facts"]["size"] == 32 and stages["facts"]["rounds"] == 2
+    assert stages["trees"]["a"]["src_sha256"] == stages["trees"]["b"]["src_sha256"]
+    assert set(stages["stages"]) == STAGES
+    assert stages["stages"]["load_pnm"]["mpix"] == 32 * 32 / 1e6
+    for entry in stages["stages"].values():
+        assert set(entry["trees"]) == {"a", "b"}
+        for tree in entry["trees"].values():
+            assert set(tree) == {"wall", "cpu"}
+            for clock in tree.values():
+                assert clock["n"] == 2 and len(clock["values"]) == 2
+                assert all(0 < value < math.inf for value in clock["values"])
+                assert clock["q1"] <= clock["median"] <= clock["q3"]
+    # It folds into a record next to perfbench's sides.
+    for seed in (5, 6):
+        _write_run(tmp_path / "runs", seed, 0, {"mpix_s": 2.0}, "aaa")
+    (tmp_path / "stages.json").write_text(done.stdout)
+    out = tmp_path / "BENCH.json"
+    assert _load_bench_record().main(
+        [str(out), f"parent={tmp_path / 'runs'}", str(tmp_path / "stages.json")]) == 0
+    folded = json.loads(out.read_text())["stages"]
+    assert folded["compared_with"] == "b"
+    assert set(folded["comparisons"]["a"]) == STAGES
+    assert folded["comparisons"]["a"]["run_bench"]["cpu"]["rounds"] == 2
+
+
+def test_bench_record_compares_stages_round_by_round():
+    def tree(wall, cpu):
+        return {"wall": {"values": wall}, "cpu": {"values": cpu}}
+
+    # The trees' keys come sorted from JSON; "order" keeps the order given.
+    stages = {"order": ["parent", "change", "other"],
+              "trees": {"change": {}, "other": {}, "parent": {}},
+              "stages": {"classify": {"mpix": 1.0, "trees": {
+                  "parent": tree([2.0, 2.2, 1.9], [1.0, 1.0, 1.0]),
+                  "change": tree([2.6, 2.1, 2.5], [0.9, 1.1, 0.8]),
+                  "other": tree([2.0, 2.0, 2.0], [2.0, 2.0, 2.0])}}}}
+    folded = _load_bench_record().fold_stages(stages)
+    assert folded["compared_with"] == "parent" and folded["stages"] == stages["stages"]
+    change = folded["comparisons"]["change"]["classify"]
+    assert change["wall"] == {"ratio_of_medians": 2.5 / 2.0, "better_pairs": 2, "rounds": 3}
+    assert change["cpu"] == {"ratio_of_medians": 0.9, "better_pairs": 1, "rounds": 3}
+    assert folded["comparisons"]["other"]["classify"]["cpu"]["better_pairs"] == 3
+
+
+def test_bench_record_takes_one_stages_file_at_most(tmp_path, capsys):
+    assert _load_bench_record().main(
+        [str(tmp_path / "BENCH.json"), f"parent={tmp_path}", "s1.json", "s2.json"]) == 2
+    assert "STAGES.json" in capsys.readouterr().err
 
 
 def test_bench_record_refuses_a_single_run(tmp_path):
