@@ -1,13 +1,14 @@
 """Time edgekeep's stages on two or more source trees, interleaved, in one process.
 
-    python3 scripts/stages.py NAME=SRC NAME=SRC [...] [--size N] [--rounds R] [--seed S]
+    python3 scripts/stages.py NAME=SRC NAME=SRC [...] [--size N] [--rounds R]
 
 for example `parent=A/src change=B/src > stages.json`. Each SRC is a `src`
 directory holding an `edgekeep` package, imported as package edgekeep_NAME, so
 that the trees' modules and band threads stay apart. The inputs are
-perfbench's (perfbench/inputs.py): for the image stages the N x N gray mosaic
-with salt-and-pepper noise of seed S (N = 1024 by default, as in
-gray_multilateral_1024), for run_bench the sweep base seed of seed S.
+perfbench's (perfbench/inputs.py) of seed SEED: for the image stages the
+N x N gray mosaic with salt-and-pepper noise (N = 1024 by default, as in
+gray_multilateral_1024), for run_bench the sweep base seed. R rounds are
+timed, 11 by default.
 
 Each stage is called once per tree for warm-up. Then a round times every
 stage, each on all trees back to back, in a tree order that reverses from
@@ -17,7 +18,8 @@ the page faults and preemptions of a shared machine, and every round makes
 its inputs afresh, untimed, so that no tree keeps a lucky or unlucky placement
 of its arrays in memory throughout. A filter_pass stage is one pass of
 filter_image in its mode with the tree's texture map of the input supplied, so
-no texture work is timed in it; its parameters are gray_multilateral_1024's.
+no texture work is timed in it; its parameters are gray_multilateral_1024's
+with one pass.
 Inputs of later stages (energies, maps, filtered images) come from each tree
 itself.
 
@@ -32,6 +34,7 @@ scripts/bench_record.py folds it into a record's `stages` section.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -49,11 +52,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402  (perfbench's seeded input generators)
 from baseline import summarise  # noqa: E402  (perfbench's spread measure)
-from workloads import SWEEP_MPIX  # noqa: E402  (megapixels one run_bench call filters)
+from workloads import SWEEP_MPIX, GrayMultilateral  # noqa: E402
 
 CLOCKS = {"wall": time.perf_counter, "cpu": time.process_time}
 #: Calls per tree, stage and round; the fastest one counts.
 REPEAT = 3
+#: The seed of every input, as in perfbench's seed-1 runs.
+SEED = 1
 
 
 def load_tree(name: str, src: Path):
@@ -77,16 +82,16 @@ def source_digest(src: Path) -> str:
     return digest.hexdigest()
 
 
-def stages(ek, size: int, seed: int) -> dict:
+def stages(ek, size: int) -> dict:
     """{stage: (megapixels, call)} of one tree; each call runs its stage once."""
-    data = inputs.gray_mosaic_pgm(seed, 0, size=size, cell=math.gcd(size, 64))
+    data = inputs.gray_mosaic_pgm(SEED, 0, size=size, cell=math.gcd(size, 64))
     img = ek.load_pnm(data)
     basis = ek.decompose(img.pixels)
     energies = ek.local_energy(basis)
     tex = ek.compute_texture_map(img)
-    params = ek.FilterParams(window_radius=2, sigma_d=2.0, sigma_r=0.2, sigma_t=1.0)
+    params = dataclasses.replace(GrayMultilateral(ek).params, passes=1)
     filtered = ek.filter_image(img, params, "multilateral", texture=tex)
-    base_seed = inputs.sweep_base_seed(seed, 0)
+    base_seed = inputs.sweep_base_seed(SEED, 0)
     mpix = size * size / 1e6
     table = {
         "load_pnm": (mpix, lambda: ek.load_pnm(data)),
@@ -104,16 +109,16 @@ def stages(ek, size: int, seed: int) -> dict:
     return table
 
 
-def measure(trees: dict, size: int, seed: int, rounds: int) -> dict:
+def measure(trees: dict, size: int, rounds: int) -> dict:
     """{stage: {"mpix": megapixels, "trees": {tree: {clock: [MP/s per round]}}}},
     the trees interleaved."""
     for ek in trees.values():
-        for _, call in stages(ek, size, seed).values():
+        for _, call in stages(ek, size).values():
             call()
     order = list(trees)
     rates: dict = {}
     for r in range(rounds):
-        tables = {tree: stages(ek, size, seed) for tree, ek in trees.items()}
+        tables = {tree: stages(ek, size) for tree, ek in trees.items()}
         for stage in tables[order[0]]:
             for tree in order if r % 2 == 0 else order[::-1]:
                 mpix, call = tables[tree][stage]
@@ -135,8 +140,7 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="+", metavar="NAME=SRC")
     parser.add_argument("--size", type=int, default=1024)
-    parser.add_argument("--rounds", type=int, default=9)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=11)
     args = parser.parse_args(argv)
     pairs = [arg.split("=", 1) for arg in args.trees if "=" in arg]
     names = [name for name, _ in pairs]
@@ -146,10 +150,10 @@ def main(argv: list[str]) -> int:
         parser.error("--rounds must be 2 or more")
     srcs = {name: Path(src).resolve() for name, src in pairs}
     trees = {name: load_tree(name, src) for name, src in srcs.items()}
-    rates = measure(trees, args.size, args.seed, args.rounds)
+    rates = measure(trees, args.size, args.rounds)
     report = {
         "order": names,  # the trees as given: the first is the base of comparisons
-        "facts": {"size": args.size, "seed": args.seed, "rounds": args.rounds,
+        "facts": {"size": args.size, "seed": SEED, "rounds": args.rounds,
                   "repeat": REPEAT, "nproc": len(os.sched_getaffinity(0)),
                   "python": platform.python_version(), "numpy": np.__version__},
         "trees": {name: {"src": str(src), "src_sha256": source_digest(src)}

@@ -14,8 +14,6 @@ byte-identical reports.
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 import zlib
 from dataclasses import dataclass, replace
@@ -70,7 +68,7 @@ def cell_seed(base_seed: int, label: str) -> int:
     """Stable per-cell seed derivation from any integer base_seed, independent
     of cell ordering; a file name's undecodable bytes hash as those bytes."""
     base_seed = check_count("base_seed", base_seed, minimum=None)
-    return (base_seed ^ zlib.crc32(label.encode("utf-8", "surrogateescape"))) % 2**64
+    return (base_seed ^ zlib.crc32(label.encode("utf-8", "surrogateescape"))) & 0xFFFFFFFFFFFFFFFF
 
 
 def _row(image: str, noise: str, param: str, label: str, report) -> BenchRow:
@@ -156,12 +154,15 @@ def _cells(row: BenchRow) -> list[str]:
     return [v if isinstance(v, str) else format_metric(v) for v in vars(row).values()]
 
 
+def _csv_field(cell: str) -> str:
+    """The cell as a CSV field: quoted, its quotes doubled, if it holds a comma,
+    quote, carriage return or line feed."""
+    return '"' + cell.replace('"', '""') + '"' if re.search(r'[,"\r\n]', cell) else cell
+
+
 def report_to_csv(report: BenchReport) -> str:
-    """CSV with \\n line ends; a field holding a comma, quote or line break is quoted."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(
-        [CSV_HEADER.split(","), *map(_cells, report.all_rows())])
-    return out.getvalue()
+    rows = [",".join(map(_csv_field, _cells(r))) for r in report.all_rows()]
+    return "\n".join([CSV_HEADER] + rows) + "\n"
 
 
 #: The markdown report's sections: a BenchReport field and its heading.

@@ -478,7 +478,7 @@ def test_bench_user_images(tmp_path):
 def test_bench_reports_quote_any_image_name(tmp_path):
     # Each file stem becomes an `image` cell, whatever characters or bytes
     # the file name holds.
-    stems = ["a,b", 'q"t', "c|d", "e\nf", os.fsdecode(b"\xff")]
+    stems = ["a,b", 'q"t', "c|d", "e\nf", "g\rh", os.fsdecode(b"\xff")]
     paths = [write_pnm(tmp_path / f"{stem}.pgm", step_edge(16)) for stem in stems]
     out = tmp_path / "r"
     assert main(["bench", str(out), *paths, "--seed", "3"]) == 0
