@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import re
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .filters import FilterMode, FilterParams, filter_image
 from .image import ImageBuffer, check_count
 from .metrics import evaluate_pair
-from .noise import NoiseSpec, add_noise
+from .noise import NOISE_KINDS, NoiseSpec, add_noise
 from .synth import step_edge, two_texture
-from .texture import TextureMap, compute_texture_map
+from .texture import compute_texture_map
 
 #: Two-pass parameters used for every bench cell. sigma_r must stay
 #: comparable to the impulse amplitude: far below it the range term alone
@@ -35,8 +35,6 @@ DENSITY_SWEEP = (0.01, 0.03, 0.05, 0.07)
 SIGMA_T_SWEEP = (0.1, 1.0, 10.0, 100.0)
 DEFAULT_BASE_SEED = 20260809
 
-CSV_HEADER = "image,noise,param,filter,snr_db,ep_h,ep_v"
-
 
 @dataclass(frozen=True)
 class BenchRow:
@@ -47,6 +45,9 @@ class BenchRow:
     snr_db: float | None
     ep_h: float | None
     ep_v: float | None
+
+
+CSV_HEADER = ",".join(field.name for field in fields(BenchRow))
 
 
 @dataclass(frozen=True)
@@ -71,23 +72,18 @@ def cell_seed(base_seed: int, label: str) -> int:
     return (base_seed ^ zlib.crc32(label.encode("utf-8", "surrogateescape"))) & 0xFFFFFFFFFFFFFFFF
 
 
-def _row(image: str, noise: str, param: str, label: str, report) -> BenchRow:
-    return BenchRow(image, noise, param, label, report.snr_db,
-                    report.ep_horizontal, report.ep_vertical)
+def _scored(image: str, noisy: ImageBuffer, noise: str, param: str, outs) -> list[BenchRow]:
+    """One row per (label, output) of outs, each output scored against noisy."""
+    return [BenchRow(image, noise, param, label, r.snr_db, r.ep_horizontal, r.ep_vertical)
+            for label, out in outs for r in [evaluate_pair(noisy, out)]]
 
 
 def _both_filters(name: str, img: ImageBuffer, spec: NoiseSpec, param: str) -> list[BenchRow]:
     """Noise from spec, both filters on the noisy image, then one row per filter."""
     noisy = add_noise(img, spec)
-    modes = (FilterMode.BILATERAL, FilterMode.MULTILATERAL)
-    outs = [filter_image(noisy, BENCH_FILTER_PARAMS, mode) for mode in modes]
-    return [_row(name, spec.kind, param, mode.value, evaluate_pair(noisy, out))
-            for mode, out in zip(modes, outs)]
-
-
-def _comparison_cell(name: str, img: ImageBuffer, kind: str, base_seed: int) -> list[BenchRow]:
-    spec = NoiseSpec(kind=kind, seed=cell_seed(base_seed, f"comparison/{name}/{kind}"))
-    return _both_filters(name, img, spec, "")
+    outs = [(mode.value, filter_image(noisy, BENCH_FILTER_PARAMS, mode))
+            for mode in (FilterMode.BILATERAL, FilterMode.MULTILATERAL)]
+    return _scored(name, noisy, spec.kind, param, outs)
 
 
 def _density_cell(img: ImageBuffer, density: float, base_seed: int) -> list[BenchRow]:
@@ -100,13 +96,6 @@ def _density_cell(img: ImageBuffer, density: float, base_seed: int) -> list[Benc
               for b, m in ((bi.ep_h, multi.ep_h), (bi.ep_v, multi.ep_v))]
     rows.append(BenchRow("two-texture", "salt-pepper", param, "ratio-multi-bi", None, *ratios))
     return rows
-
-
-def _sigma_t_cell(noisy: ImageBuffer, texture: TextureMap, sigma_t: float) -> list[BenchRow]:
-    params = replace(BENCH_FILTER_PARAMS, sigma_t=sigma_t)
-    out = filter_image(noisy, params, FilterMode.MULTILATERAL, texture=texture)
-    return [_row("two-texture", "salt-pepper", f"{sigma_t:g}", "multilateral",
-                 evaluate_pair(noisy, out))]
 
 
 def run_bench(images: list[tuple[str, ImageBuffer]] | None = None,
@@ -126,12 +115,15 @@ def run_bench(images: list[tuple[str, ImageBuffer]] | None = None,
     sigma_t_noisy = add_noise(sweep_img, NoiseSpec(
         kind="salt-pepper", density=0.05, seed=cell_seed(base_seed, "sigma-t")))
 
-    comparison = [row for name, img in images for kind in ("salt-pepper", "gaussian")
-                  for row in _comparison_cell(name, img, kind, base_seed)]
+    comparison = [row for name, img in images for kind in NOISE_KINDS for row in _both_filters(
+        name, img, NoiseSpec(kind, seed=cell_seed(base_seed, f"comparison/{name}/{kind}")), "")]
     density = [row for d in DENSITY_SWEEP for row in _density_cell(sweep_img, d, base_seed)]
     # Every sigma_t cell's first pass classifies the same noisy image.
     texture = compute_texture_map(sigma_t_noisy)
-    sigma_t = [row for s in SIGMA_T_SWEEP for row in _sigma_t_cell(sigma_t_noisy, texture, s)]
+    sigma_t = [row for s in SIGMA_T_SWEEP for row in _scored(
+        "two-texture", sigma_t_noisy, "salt-pepper", f"{s:g}",
+        [("multilateral", filter_image(sigma_t_noisy, replace(BENCH_FILTER_PARAMS, sigma_t=s),
+                                       FilterMode.MULTILATERAL, texture))])]
     return BenchReport(comparison=tuple(comparison), density_sweep=tuple(density),
                        sigma_t_sweep=tuple(sigma_t))
 

@@ -23,7 +23,7 @@ from .bench import (DEFAULT_BASE_SEED, format_metric, markdown_table, report_to_
 from .filters import FilterMode, FilterParams, filter_image
 from .image import ImageBuffer, PnmError, load_pnm, save_pnm
 from .metrics import evaluate_pair, snr
-from .noise import NoiseSpec, add_noise
+from .noise import NOISE_KINDS, NoiseSpec, add_noise
 from .texture import DEFAULT_SIGMA_G, TextureParams, compute_texture_map, texture_map_image
 
 EXIT_OK = 0
@@ -37,7 +37,7 @@ class Option(NamedTuple):
     flag: str  # without the leading "--"; also the config key
     type: type  # int, float or str
     default: object
-    help: str
+    help: str  # "" lists the choices
     field: str  # the library parameter the value is passed as
     commands: tuple[str, ...]
     choices: tuple[str, ...] = ()  # the values a str option takes; () for any
@@ -46,8 +46,7 @@ class Option(NamedTuple):
 _FILTER, _TEXTURE, _NOISE = ("filter",), ("filter", "texture"), ("add-noise",)
 # flag, type, default, help, library field, commands[, choices]
 OPTIONS = tuple(Option(*row) for row in (
-    ("mode", str, "bilateral", "bilateral | multilateral | average", "mode", _FILTER,
-     tuple(mode.value for mode in FilterMode)),
+    ("mode", str, "bilateral", "", "mode", _FILTER, tuple(mode.value for mode in FilterMode)),
     ("radius", int, 2, "window radius m", "window_radius", _FILTER),
     ("sigma-d", float, 2.0, "spatial scale (pixels)", "sigma_d", _FILTER),
     ("sigma-r", float, 0.1, "range scale (intensity)", "sigma_r", _FILTER),
@@ -57,11 +56,11 @@ OPTIONS = tuple(Option(*row) for row in (
     ("energy-radius", int, 2, "texture energy window radius", "energy_window_radius", _TEXTURE),
     ("smooth-threshold", float, None, "absolute smooth threshold", "smooth_threshold", _TEXTURE),
     ("complex-ratio", float, 0.8, "complex-texture energy ratio", "complex_ratio", _TEXTURE),
-    ("noise", str, "salt-pepper", "salt-pepper | gaussian", "kind", _NOISE),
+    ("noise", str, "salt-pepper", " | ".join(NOISE_KINDS), "kind", _NOISE),
     ("density", float, 0.05, "salt-pepper corruption fraction", "density", _NOISE),
     ("std", float, 0.05, "gaussian standard deviation", "std", _NOISE),
     ("seed", int, 0, "PRNG seed", "seed", _NOISE),
-    ("report", str, "text", "text | csv | markdown", "report", ("metrics",), REPORT_FORMATS),
+    ("report", str, "text", "", "report", ("metrics",), REPORT_FORMATS),
     ("seed", int, DEFAULT_BASE_SEED, "base seed for all noise realizations", "base_seed",
      ("bench",)),
 ))
@@ -226,7 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for name, kwargs in arguments:
             p.add_argument(name, **kwargs)
         for opt in _options(command):
-            p.add_argument(f"--{opt.flag}", type=opt.type, help=opt.help)
+            p.add_argument(f"--{opt.flag}", type=opt.type,
+                           help=opt.help or " | ".join(opt.choices))
         p.add_argument("--config", help="flat JSON config file; flags override it")
         p.set_defaults(handler=handler)
     return parser

@@ -30,11 +30,13 @@ class MetricsReport:
     ep_vertical: float | None
 
 
-def _check_pair(a: ImageBuffer, b: ImageBuffer):
+def _gray_pair(a: ImageBuffer, b: ImageBuffer) -> tuple[np.ndarray, np.ndarray]:
+    """The grayscale pixels of a and b, once their shapes are checked to match."""
     if (a.width, a.height, a.channels) != (b.width, b.height, b.channels):
         raise ValueError(
             f"image shapes differ: {a.height}x{a.width}x{a.channels} vs "
             f"{b.height}x{b.width}x{b.channels}")
+    return to_grayscale(a).pixels, to_grayscale(b).pixels
 
 
 def snr(reference: ImageBuffer, test: ImageBuffer) -> float | None:
@@ -45,9 +47,7 @@ def snr(reference: ImageBuffer, test: ImageBuffer) -> float | None:
     the images are identical (the ratio is infinite) or the reference is all
     zeros (the ratio is undefined).
     """
-    _check_pair(reference, test)
-    ref = to_grayscale(reference).pixels
-    tst = to_grayscale(test).pixels
+    ref, tst = _gray_pair(reference, test)
     noise_power = float(((ref - tst) ** 2).sum())
     if noise_power == 0.0:
         return None
@@ -66,11 +66,8 @@ def edge_preserving_exponent(input_img: ImageBuffer, filtered_img: ImageBuffer,
     0 fully flattened. Returns None when the input sum is zero (constant
     input, or a single row/column in the chosen direction).
     """
-    _check_pair(input_img, filtered_img)
-    direction = Direction(direction)
-    axis = 1 if direction is Direction.HORIZONTAL else 0
-    inp = to_grayscale(input_img).pixels
-    fil = to_grayscale(filtered_img).pixels
+    inp, fil = _gray_pair(input_img, filtered_img)
+    axis = 1 if Direction(direction) is Direction.HORIZONTAL else 0
     denominator = float(np.abs(np.diff(inp, axis=axis)).sum())
     if denominator == 0.0:
         return None

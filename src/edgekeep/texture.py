@@ -45,9 +45,9 @@ DEFAULT_SIGMA_G = 1.0
 #: Fraction of the image-mean energy used by the adaptive smooth threshold.
 ADAPTIVE_THRESHOLD_FRACTION = 0.1
 
-# Absolute floor for the adaptive threshold: keeps exactly-constant images
-# classifying as smooth (their residual energies are pure rounding noise,
-# around 1e-34) while sitting far below any real sub-band energy.
+# Absolute floor for the adaptive threshold, far below any real energy. A
+# constant image's energies are exactly 0 (mirror-paired taps); at a 0
+# threshold none is below it, and every pixel would fall to complex, not smooth.
 _ADAPTIVE_THRESHOLD_FLOOR = 1e-12
 
 
@@ -147,7 +147,7 @@ def steer(basis) -> np.ndarray:
     return np.stack([c * bx + s * by for c, s in _STEERING])
 
 
-def local_energy(basis, window_radius: int = 2) -> np.ndarray:
+def local_energy(basis, window_radius: int = TextureParams.energy_window_radius) -> np.ndarray:
     """Windowed mean energies of the four steered bands, (4, h, w), all >= 0.
 
     Equal, up to rounding, to the window means of the squared steer(basis)

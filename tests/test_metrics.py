@@ -164,3 +164,34 @@ def test_evaluate_pair_fields():
     assert report.snr_db == snr(inp, out)
     assert report.ep_horizontal == edge_preserving_exponent(inp, out, "horizontal")
     assert report.ep_vertical == edge_preserving_exponent(inp, out, "vertical")
+
+
+def test_bench_rows_carry_their_own_cells_metrics():
+    # Rebuilds each comparison cell and one sigma_t cell of a small bench run;
+    # every row's (snr_db, ep_h, ep_v) must be evaluate_pair's (snr_db,
+    # ep_horizontal, ep_vertical) for its own cell's filter output.
+    from dataclasses import replace
+
+    from edgekeep.bench import BENCH_FILTER_PARAMS, cell_seed, run_bench
+    from edgekeep.noise import NOISE_KINDS, NoiseSpec, add_noise
+    from edgekeep.synth import two_texture
+
+    def metrics_of(report):
+        return report.snr_db, report.ep_horizontal, report.ep_vertical
+
+    img = step_edge(16)
+    report = run_bench(images=[("edge", img)], base_seed=5)
+    rows = {(row.noise, row.filter): (row.snr_db, row.ep_h, row.ep_v)
+            for row in report.comparison}
+    assert len(rows) == len(report.comparison) == 4
+    for kind in NOISE_KINDS:
+        noisy = add_noise(img, NoiseSpec(kind, seed=cell_seed(5, f"comparison/edge/{kind}")))
+        for mode in (FilterMode.BILATERAL, FilterMode.MULTILATERAL):
+            out = filter_image(noisy, BENCH_FILTER_PARAMS, mode)
+            assert rows[kind, mode.value] == metrics_of(evaluate_pair(noisy, out))
+
+    noisy = add_noise(two_texture(128), NoiseSpec(
+        "salt-pepper", density=0.05, seed=cell_seed(5, "sigma-t")))
+    out = filter_image(noisy, replace(BENCH_FILTER_PARAMS, sigma_t=10.0), FilterMode.MULTILATERAL)
+    (row,) = [row for row in report.sigma_t_sweep if row.param == "10"]
+    assert (row.snr_db, row.ep_h, row.ep_v) == metrics_of(evaluate_pair(noisy, out))
