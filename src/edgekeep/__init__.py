@@ -41,7 +41,6 @@ from .texture import (
     compute_texture_map,
     decompose,
     local_energy,
-    steer,
     texture_map_image,
 )
 

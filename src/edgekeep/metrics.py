@@ -33,9 +33,8 @@ class MetricsReport:
 def _gray_pair(a: ImageBuffer, b: ImageBuffer) -> tuple[np.ndarray, np.ndarray]:
     """The grayscale pixels of a and b, once their shapes are checked to match."""
     if (a.width, a.height, a.channels) != (b.width, b.height, b.channels):
-        raise ValueError(
-            f"image shapes differ: {a.height}x{a.width}x{a.channels} vs "
-            f"{b.height}x{b.width}x{b.channels}")
+        raise ValueError(f"image shapes differ: {a.height}x{a.width}x{a.channels} vs "
+                         f"{b.height}x{b.width}x{b.channels}")
     return to_grayscale(a).pixels, to_grayscale(b).pixels
 
 
@@ -47,12 +46,13 @@ def snr(reference: ImageBuffer, test: ImageBuffer) -> float | None:
     the images are identical (the ratio is infinite) or the reference is all
     zeros (the ratio is undefined).
     """
-    ref, tst = _gray_pair(reference, test)
+    return _snr(*_gray_pair(reference, test))
+
+
+def _snr(ref: np.ndarray, tst: np.ndarray) -> float | None:
     noise_power = float(((ref - tst) ** 2).sum())
-    if noise_power == 0.0:
-        return None
     signal_power = float((ref ** 2).sum())
-    if signal_power == 0.0:
+    if noise_power == 0.0 or signal_power == 0.0:
         return None
     return 10.0 * math.log10(signal_power / noise_power)
 
@@ -67,18 +67,18 @@ def edge_preserving_exponent(input_img: ImageBuffer, filtered_img: ImageBuffer,
     input, or a single row/column in the chosen direction).
     """
     inp, fil = _gray_pair(input_img, filtered_img)
-    axis = 1 if Direction(direction) is Direction.HORIZONTAL else 0
+    return _exponent(inp, fil, 1 if Direction(direction) is Direction.HORIZONTAL else 0)
+
+
+def _exponent(inp: np.ndarray, fil: np.ndarray, axis: int) -> float | None:
     denominator = float(np.abs(np.diff(inp, axis=axis)).sum())
     if denominator == 0.0:
         return None
-    numerator = float(np.abs(np.diff(fil, axis=axis)).sum())
-    return numerator / denominator
+    return float(np.abs(np.diff(fil, axis=axis)).sum()) / denominator
 
 
 def evaluate_pair(input_img: ImageBuffer, filtered_img: ImageBuffer) -> MetricsReport:
-    """SNR and both edge-preserving exponents for a filter run."""
-    return MetricsReport(
-        snr_db=snr(input_img, filtered_img),
-        ep_horizontal=edge_preserving_exponent(input_img, filtered_img, Direction.HORIZONTAL),
-        ep_vertical=edge_preserving_exponent(input_img, filtered_img, Direction.VERTICAL),
-    )
+    """SNR and both edge-preserving exponents from one grayscale pair."""
+    inp, fil = _gray_pair(input_img, filtered_img)
+    return MetricsReport(snr_db=_snr(inp, fil), ep_horizontal=_exponent(inp, fil, 1),
+                         ep_vertical=_exponent(inp, fil, 0))

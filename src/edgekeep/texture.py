@@ -6,13 +6,12 @@ four fixed orientations. A band steered to angle theta is c*bx + s*by with
 c^2 A + 2cs C + s^2 B, a quadratic form in the windowed gradient structure
 tensor A = W[bx^2], B = W[by^2], C = W[bx*by] (Freeman & Adelson 1991). The
 four energies are E0 = A, E90 = B and E+/-45 = (A + B)/2 +/- C: three window
-means instead of four, and no steered bands. decompose returns the pair,
-local_energy its four energies, and steer the bands themselves, which only
-tests and inspection build. A pairwise tournament and a three-rule cascade
-turn the energies into one of six texture classes. The resulting label map
-feeds the multilateral filter's texture-similarity weight. TextureParams holds
-every setting of these stages, the base scale sigma_g of bx and by included:
-compute_texture_map(img, TextureParams(sigma_g=1.5)).
+means instead of four, and no band is ever built. decompose returns the pair
+and local_energy its four energies. A pairwise tournament and a three-rule
+cascade turn the energies into one of six texture classes. The resulting label
+map feeds the multilateral filter's texture-similarity weight. TextureParams
+holds every setting of these stages, the base scale sigma_g of bx and by
+included: compute_texture_map(img, TextureParams(sigma_g=1.5)).
 
 The kernels, tensor products and combination, and the label tournament run in
 row bands on the filter's band threads (see kernels); the public functions
@@ -32,12 +31,8 @@ from .image import (ImageBuffer, check_count, check_radius, check_real, check_si
                     to_grayscale)
 from .kernels import _run_bands, convolve, gaussian_derivative_taps, window_mean
 
-#: Sub-band orientations in their fixed order (degrees).
+#: Sub-band orientations (degrees), in the fixed order of the energy planes.
 ORIENTATIONS_DEG = (0.0, 90.0, 45.0, -45.0)
-
-_INV_SQRT2 = math.sqrt(0.5)
-# (cos, sin) steering coefficients matching ORIENTATIONS_DEG.
-_STEERING = ((1.0, 0.0), (0.0, 1.0), (_INV_SQRT2, _INV_SQRT2), (_INV_SQRT2, -_INV_SQRT2))
 
 #: Default scale of the Gaussian the derivative kernels are sampled from.
 DEFAULT_SIGMA_G = 1.0
@@ -127,8 +122,8 @@ def decompose(field: np.ndarray,
     """The steerable basis pair (bx, by) of an (h, w) array, such as a gray
     image's pixels: bx = d(u) g(v) and by = g(u) d(v), separable convolutions
     over taps of radius steerable_radius(sigma_g), each a row pass and a
-    column pass over mirror-paired taps. Every oriented band is a combination
-    of the two (see steer). A radius above the image bound
+    column pass over mirror-paired taps. The band at angle theta is
+    cos(theta) * bx + sin(theta) * by. A radius above the image bound
     (image.check_radius) raises a ValueError before the taps are built."""
     check_sigma("sigma_g", sigma_g, finite=True)
     check_radius("sigma_g", sigma_g, np.shape(field), steerable_radius(sigma_g))
@@ -136,28 +131,17 @@ def decompose(field: np.ndarray,
     return convolve(field, g, d), convolve(field, d, g)
 
 
-def steer(basis) -> np.ndarray:
-    """The four bands cos(theta) * bx + sin(theta) * by of a basis pair,
-    stacked (4, h, w) in ORIENTATIONS_DEG order.
-
-    compute_texture_map never builds these bands (see local_energy); they
-    stay for inspection and as a test oracle.
-    """
-    bx, by = basis
-    return np.stack([c * bx + s * by for c, s in _STEERING])
-
-
 def local_energy(basis, window_radius: int = TextureParams.energy_window_radius) -> np.ndarray:
     """Windowed mean energies of the four steered bands, (4, h, w), all >= 0.
 
-    Equal, up to rounding, to the window means of the squared steer(basis)
-    bands, but computed from the structure tensor: E0 = A, E90 = B,
-    E+/-45 = (A + B)/2 +/- C. E+/-45 are clamped at 0, where a cancellation
-    can round them below it. A horizontal or vertical flip negates bx or by
-    exactly, so C changes sign exactly and the flipped energies are exact,
-    with E45 and E-45 swapped. The only image-sized arrays made are the four
-    energy planes: each product is staged in the E45 plane, and the window
-    means pad row band by row band.
+    Equal, up to rounding, to the window means of the squared bands
+    cos(theta) * bx + sin(theta) * by, but computed from the structure
+    tensor: E0 = A, E90 = B, E+/-45 = (A + B)/2 +/- C. E+/-45 are clamped at
+    0, where a cancellation can round them below it. A horizontal or vertical
+    flip negates bx or by exactly, so C changes sign exactly and the flipped
+    energies are exact, with E45 and E-45 swapped. The only image-sized arrays
+    made are the four energy planes: each product is staged in the E45 plane,
+    and the window means pad row band by row band.
     """
     window_radius = check_count("window_radius", window_radius)
     bx, by = basis

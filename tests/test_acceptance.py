@@ -15,8 +15,8 @@ from edgekeep.filters import FilterMode, FilterParams, filter_image, filter_orac
 from edgekeep.image import ImageBuffer
 from edgekeep.metrics import edge_preserving_exponent, snr
 from edgekeep.synth import grating
-from edgekeep.texture import (TextureClass, compute_texture_map, decompose, steer,
-                             steerable_radius)
+from edgekeep.texture import TextureClass, compute_texture_map, decompose, steerable_radius
+from steering import steer
 
 MODES = (FilterMode.AVERAGE, FilterMode.BILATERAL, FilterMode.MULTILATERAL)
 

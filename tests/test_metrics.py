@@ -166,6 +166,29 @@ def test_evaluate_pair_fields():
     assert report.ep_vertical == edge_preserving_exponent(inp, out, "vertical")
 
 
+def test_evaluate_pair_converts_each_rgb_image_once(monkeypatch):
+    # Every metric of the report reads one grayscale pair, and the report is
+    # the one the three separate metric calls give, bit for bit.
+    import edgekeep.metrics as metrics
+    from edgekeep.image import to_grayscale
+
+    rng = np.random.default_rng(9)
+    inp = ImageBuffer(rng.random((12, 10, 3)))
+    out = ImageBuffer(rng.random((12, 10, 3)))
+    expected = (snr(inp, out), edge_preserving_exponent(inp, out, "horizontal"),
+                edge_preserving_exponent(inp, out, "vertical"))
+    calls = []
+
+    def counting(img):
+        calls.append(img)
+        return to_grayscale(img)
+
+    monkeypatch.setattr(metrics, "to_grayscale", counting)
+    report = evaluate_pair(inp, out)
+    assert len(calls) == 2 and calls[0] is inp and calls[1] is out
+    assert (report.snr_db, report.ep_horizontal, report.ep_vertical) == expected
+
+
 def test_bench_rows_carry_their_own_cells_metrics():
     # Rebuilds each comparison cell and one sigma_t cell of a small bench run;
     # every row's (snr_db, ep_h, ep_v) must be evaluate_pair's (snr_db,

@@ -24,13 +24,13 @@ from edgekeep.texture import (
     compute_texture_map,
     decompose,
     local_energy,
-    steer,
     steerable_radius,
     texture_distance,
     texture_map_image,
 )
 from edgekeep.noise import NoiseSpec, add_noise
 from edgekeep.synth import grating, step_edge
+from steering import steer
 
 # Margin excluded when checking grating interiors: steering kernel radius
 # plus the energy window radius.

@@ -1,5 +1,5 @@
-"""Tooling: the traced function names, the perf-record and stage scripts, and
-the README's figures for the library's bounds."""
+"""Tooling: the traced function names, the perf-record and stage scripts, the
+README's figures for the library's bounds, and its library quick start."""
 
 import ast
 import importlib.util
@@ -50,6 +50,16 @@ def test_readme_bounds_match_the_library():
     assert re.findall(r"height, width and (\d+)", text) == [str(RADIUS_FLOOR)]
     assert re.findall(r"past (\d+) times the larger of its area h x w and (\d+)²", text) == \
         [(str(AREA_FACTOR), str(RADIUS_FLOOR))]
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # The quick start names the public entry points; one the package loses
+    # fails here rather than on a reader's first try.
+    readme = (SPANS.parent.parent / "README.md").read_text()
+    section = readme[readme.index("\n## Library quick start\n"):].split("\n## ")[1]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("MetricsReport(snr_db=")
 
 
 def _load_bench_record():
