@@ -137,31 +137,34 @@ def _taps_pass(src: np.ndarray, taps: np.ndarray, axis: int,
     return out
 
 
-def _halo(field: np.ndarray, y0: int, y1: int, r: int) -> np.ndarray:
-    """Rows y0 - r to y1 + r of `field`, padded by r copies of its edge rows and
-    columns, as a (y1 - y0 + 2r, w + 2r) slab, or for an (h, w, c) field its c
-    channel planes (c, y1 - y0 + 2r, w + 2r)."""
+def _halo(field: np.ndarray, y0: int, y1: int, r: int, times=None) -> np.ndarray:
+    """Rows y0 - r to y1 + r of `field` (or field * times), with r copies of its
+    edge rows and columns taken from the padded core, as a (y1 - y0 + 2r, w + 2r)
+    slab, or for an (h, w, c) field its c channel planes (c, y1 - y0 + 2r, w + 2r)."""
     h, w = field.shape[:2]
     lo, hi = max(y0 - r, 0), min(y1 + r, h)
     top, inside = lo - (y0 - r), hi - lo
     out = np.empty(field.shape[2:] + (y1 - y0 + 2 * r, w + 2 * r), field.dtype)
     slab = out if field.ndim == 2 else np.moveaxis(out, 0, -1)  # the field's axis order
     core = slab[:, r:r + w]
-    core[:top] = field[0]
-    core[top:top + inside] = field[lo:hi]
-    core[top + inside:] = field[h - 1]
+    if times is None:
+        core[top:top + inside] = field[lo:hi]
+    else:
+        np.multiply(field[lo:hi], times[lo:hi], out=core[top:top + inside])
+    core[:top] = core[top]
+    core[top + inside:] = core[top + inside - 1]
     slab[:, :r] = core[:, :1]
     slab[:, r + w:] = core[:, w - 1:w]
     return out
 
 
 def _separable(field: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,
-               out: np.ndarray, divisor: float = 1.0) -> np.ndarray:
-    """Row pass, then column pass, over `field` padded by the taps' radius,
-    into `out`, each sample then divided by `divisor` unless it is 1; a row
-    band at a time, each band padding its own rows (_halo) and each sample
-    seeing the same operations in any band. A radius above the image bound
-    (image.check_radius) raises a ValueError first; an empty field gives `out`.
+               out: np.ndarray, divisor: float = 1.0, times=None) -> np.ndarray:
+    """Row pass, then column pass, over `field` (or field * times) padded by the
+    taps' radius, into `out`, each sample then divided by `divisor` unless it
+    is 1; a row band at a time, each band padding its own rows (_halo) and each
+    sample seeing the same operations in any band. A radius above the image
+    bound (image.check_radius) raises a ValueError first; an empty field gives `out`.
     """
     if field.ndim != 2:
         raise ValueError(f"expected an (h, w) field, got shape {field.shape}")
@@ -171,7 +174,7 @@ def _separable(field: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,
         return out
 
     def band(y0: int, y1: int) -> None:
-        rows = _taps_pass(_halo(field, y0, y1, r), row_taps, 1)
+        rows = _taps_pass(_halo(field, y0, y1, r, times), row_taps, 1)
         _taps_pass(rows, col_taps, 0, out[y0:y1])
         if divisor != 1.0:
             np.divide(out[y0:y1], divisor, out=out[y0:y1])
@@ -199,17 +202,19 @@ def convolve(field, col_taps, row_taps) -> np.ndarray:
     return _separable(field, col_taps, row_taps, np.empty(field.shape))
 
 
-def window_mean(field: np.ndarray, radius: int, *,
+def window_mean(field: np.ndarray, radius: int, *, times: np.ndarray | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Mean of `field` over the (2r+1)^2 window centered at each pixel,
-    written to `out` (a float64 array of the field's shape) when given.
+    """Mean of `field`, or of field * times (of the field's shape), over the
+    (2r+1)^2 window centered at each pixel, written to `out` (a float64 array
+    of the field's shape) when given; no product field is made.
 
     A direct sum, rows then columns, with mirror-paired samples; no running
     or summed-area sums, whose cancellation drifts.
     """
     radius = check_count("radius", radius)
     field = np.asarray(field, dtype=np.float64)
-    side = 2 * radius + 1
-    ones = np.ones(side)
+    if times is not None and np.shape(times) != field.shape:
+        raise ValueError(f"times has shape {np.shape(times)}, not the field's {field.shape}")
+    ones = np.ones(2 * radius + 1)
     return _separable(field, ones, ones, np.empty(field.shape) if out is None else out,
-                      float(side * side))
+                      float(len(ones) ** 2), times)

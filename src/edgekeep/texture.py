@@ -140,22 +140,17 @@ def local_energy(basis, window_radius: int = TextureParams.energy_window_radius)
     0, where a cancellation can round them below it. A horizontal or vertical
     flip negates bx or by exactly, so C changes sign exactly and the flipped
     energies are exact, with E45 and E-45 swapped. The only image-sized arrays
-    made are the four energy planes: each product is staged in the E45 plane,
-    and the window means pad row band by row band.
+    are the four energy planes: A, B and C (in the E-45 plane) are windowed
+    from their two factors band by band, edge rows and columns repeated.
     """
     window_radius = check_count("window_radius", window_radius)
     bx, by = basis
     if bx.ndim != 2 or by.shape != bx.shape:
         raise ValueError(f"expected two (h, w) fields, got shapes {bx.shape} and {by.shape}")
+    check_radius("window_radius", window_radius, bx.shape)
     energies = np.empty((len(ORIENTATIONS_DEG),) + bx.shape)
-    # Each product is staged in the E45 plane, which holds nothing until the
-    # tensor combination writes it; A, B and C go straight into the energy
-    # array, C into the E-45 plane.
-    product = energies[2]
     for a, b, plane in ((bx, bx, 0), (by, by, 1), (bx, by, 3)):
-        _run_bands(*bx.shape, lambda y0, y1, a=a, b=b:
-                   np.multiply(a[y0:y1], b[y0:y1], out=product[y0:y1]))
-        window_mean(product, window_radius, out=energies[plane])
+        window_mean(a, window_radius, times=b, out=energies[plane])
 
     def combine(y0: int, y1: int) -> None:
         e = energies[:, y0:y1]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgekeep import kernels
 from edgekeep.image import ImageBuffer, sample_at
 from edgekeep.kernels import _halo, convolve, gaussian_derivative_taps, window_mean
 from edgekeep.texture import classify, decompose, local_energy
@@ -206,6 +207,43 @@ def test_band_halo_is_the_band_of_the_padded_field(data):
     assert np.array_equal(band, pad_field(labels, r)[y0:y1 + 2 * r])
 
 
+def _factors(data):
+    """Two seeded (h, w) factors, sides 1-40, and a radius from 1 to past the height."""
+    h, w = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.standard_normal((2, h, w))
+    return a, b, data.draw(st.integers(1, h + 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_halo_of_two_factors_is_the_halo_of_their_product(data):
+    a, b, r = _factors(data)
+    y0 = data.draw(st.integers(0, a.shape[0] - 1))
+    y1 = data.draw(st.integers(y0 + 1, a.shape[0]))
+    assert np.array_equal(_halo(a, y0, y1, r, b), _halo(a * b, y0, y1, r))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_window_mean_of_two_factors_is_the_window_mean_of_their_product(data):
+    a, b, r = _factors(data)
+    h, w = a.shape
+    expected = window_mean(a * b, r)  # one band
+    with pytest.MonkeyPatch.context() as mp:
+        rows = data.draw(st.integers(1, h))  # rows per band: 1 up to one band
+        mp.setattr(kernels, "_BAND_SAMPLES", rows * (w + 2 * r))
+        mp.setattr(kernels, "_WORKERS", data.draw(st.sampled_from((1, 2))))
+        assert np.array_equal(window_mean(a, r, times=b), expected)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (4, 1), (5, 4), (4, 5, 1), ()])
+def test_window_mean_rejects_a_factor_of_another_shape(shape):
+    # (1, 5), (4, 1) and () would broadcast against the (4, 5) field.
+    with pytest.raises(ValueError, match=re.escape(f"{shape}, not the field's (4, 5)")):
+        window_mean(np.ones((4, 5)), 1, times=np.ones(shape))
+
+
 def test_convolve_linearity():
     rng = np.random.default_rng(6)
     a, b = 0.6, -1.7
@@ -271,6 +309,12 @@ def test_radii_above_the_image_bound_raise_before_any_halo(call):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 1024
+
+
+def test_local_energy_names_its_own_window_radius():
+    basis = np.zeros((8, 8))
+    with pytest.raises(ValueError, match=r"^window_radius 100 sets a radius above 64"):
+        local_energy((basis, basis), 100)
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
