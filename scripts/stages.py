@@ -1,34 +1,30 @@
-"""Time edgekeep's stages on two or more source trees, interleaved, in one process.
+"""Time edgekeep's stages on two or more source trees, each in its own process.
 
     python3 scripts/stages.py NAME=SRC NAME=SRC [...] [--size N] [--rounds R]
 
 for example `parent=A/src change=B/src > stages.json`. Each SRC is a `src`
-directory holding an `edgekeep` package, imported as package edgekeep_NAME, so
-that the trees' modules and band threads stay apart. The inputs are
-perfbench's (perfbench/inputs.py) of seed SEED: for the image stages the
-N x N gray mosaic with salt-and-pepper noise (N = 1024 by default, as in
-gray_multilateral_1024), for run_bench the sweep base seed. R rounds are
-timed, 11 by default.
+directory holding an `edgekeep` package. The inputs are perfbench's
+(perfbench/inputs.py) of seed SEED: for the image stages the N x N gray mosaic
+with salt-and-pepper noise (N even, 1024 by default as in gray_multilateral_1024),
+for run_bench the sweep base seed. R rounds are timed, 31 by default.
 
-Each stage is called once per tree for warm-up. Then a round times every
-stage, each on all trees back to back, in a tree order that reverses from
-round to round, so that a drift in the machine's speed meets every tree alike.
-A tree's time in a round is the fastest of REPEAT calls, which sheds most of
-the page faults and preemptions of a shared machine, and every round makes
-its inputs afresh, untimed, so that no tree keeps a lucky or unlucky placement
-of its arrays in memory throughout. A filter_pass stage is one pass of
-filter_image in its mode with the tree's texture map of the input supplied, so
-no texture work is timed in it; its parameters are gray_multilateral_1024's
-with one pass.
-Inputs of later stages (energies, maps, filtered images) come from each tree
-itself.
+A round runs every tree in a fresh interpreter of its own (multiprocessing's
+spawn), in a tree order that reverses from round to round, so that a drift in
+the machine's speed meets every tree alike and no two trees share a process.
+There the tree's edgekeep is imported, each stage is called once for warm-up,
+the inputs are made afresh, and each stage counts the fastest of REPEAT calls,
+which sheds most of the page faults and preemptions of a shared machine. A
+filter_pass stage is one pass of filter_image in its mode with the tree's
+texture map of the input supplied, so no texture work is timed in it; its
+parameters are gray_multilateral_1024's with one pass. Inputs of later stages
+(energies, maps, filtered images) come from each tree itself.
 
 The JSON printed on stdout holds the tree names in the order given and, per
-stage, the megapixels one call handles
-and, per tree, the median, quartiles, spread and per-round values of its MP/s
-by wall time (time.perf_counter, "wall") and by the CPU time of the whole
-process, band threads included (time.process_time, "cpu"), side by side.
-scripts/bench_record.py folds it into a record's `stages` section.
+stage, the megapixels one call handles and, per tree, the median, quartiles,
+spread and per-round values of its MP/s by wall time (time.perf_counter,
+"wall") and by the CPU time of the whole process, band threads included
+(time.process_time, "cpu"), side by side. scripts/bench_record.py folds it
+into a record's `stages` section.
 """
 
 from __future__ import annotations
@@ -36,9 +32,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import math
+import multiprocessing
 import os
 import platform
 import sys
@@ -61,18 +57,13 @@ REPEAT = 3
 SEED = 1
 
 
-def load_tree(name: str, src: Path):
-    """The edgekeep package under src, imported as edgekeep_<name>."""
-    init = src / "edgekeep" / "__init__.py"
-    if not name.isidentifier() or not init.is_file():
-        raise SystemExit(f"stages: {name}={src} is not NAME=SRC with an edgekeep package in SRC")
-    package = f"edgekeep_{name}"
-    spec = importlib.util.spec_from_file_location(
-        package, init, submodule_search_locations=[str(init.parent)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[package] = module  # the package's relative imports find it here
-    spec.loader.exec_module(module)
-    return module
+def import_tree(src: Path):
+    """The edgekeep package under src; an edgekeep from anywhere else raises."""
+    sys.path.insert(0, str(src))
+    import edgekeep
+    if not Path(edgekeep.__file__).resolve().is_relative_to((src / "edgekeep").resolve()):
+        raise ImportError(f"stages: imported {edgekeep.__file__}, not the edgekeep in {src}")
+    return edgekeep
 
 
 def source_digest(src: Path) -> str:
@@ -109,30 +100,38 @@ def stages(ek, size: int) -> dict:
     return table
 
 
-def measure(trees: dict, size: int, rounds: int) -> dict:
-    """{stage: {"mpix": megapixels, "trees": {tree: {clock: [MP/s per round]}}}},
-    the trees interleaved."""
-    for ek in trees.values():
-        for _, call in stages(ek, size).values():
+def tree_rates(src: Path, size: int) -> dict:
+    """{stage: (megapixels, {clock: MP/s})}: one round of the tree under src."""
+    ek = import_tree(src)
+    for _, call in stages(ek, size).values():
+        call()
+    rates = {}
+    for stage, (mpix, call) in stages(ek, size).items():
+        best = dict.fromkeys(CLOCKS, math.inf)
+        for _ in range(REPEAT):
+            start = {clock: read() for clock, read in CLOCKS.items()}
             call()
-    order = list(trees)
+            for clock, read in CLOCKS.items():
+                best[clock] = min(best[clock], read() - start[clock])
+        # A clock may not tick at all over a tiny input's call.
+        rates[stage] = (mpix, {clock: mpix / max(seconds, 1e-9)
+                               for clock, seconds in best.items()})
+    return rates
+
+
+def measure(srcs: dict, size: int, rounds: int) -> dict:
+    """{stage: {"mpix": megapixels, "trees": {tree: {clock: [MP/s per round]}}}}."""
+    spawn = multiprocessing.get_context("spawn")
+    order = list(srcs)
     rates: dict = {}
     for r in range(rounds):
-        tables = {tree: stages(ek, size) for tree, ek in trees.items()}
-        for stage in tables[order[0]]:
-            for tree in order if r % 2 == 0 else order[::-1]:
-                mpix, call = tables[tree][stage]
-                best = dict.fromkeys(CLOCKS, math.inf)
-                for _ in range(REPEAT):
-                    start = {clock: read() for clock, read in CLOCKS.items()}
-                    call()
-                    for clock, read in CLOCKS.items():
-                        best[clock] = min(best[clock], read() - start[clock])
+        for tree in order if r % 2 == 0 else order[::-1]:
+            with spawn.Pool(1) as pool:  # a fresh interpreter for each tree and round
+                result = pool.apply(tree_rates, (srcs[tree], size))
+            for stage, (mpix, by_clock) in result.items():
                 entry = rates.setdefault(stage, {"mpix": mpix, "trees": {}})
-                for clock, seconds in best.items():
-                    # A clock may not tick at all over a tiny input's call.
-                    entry["trees"].setdefault(tree, {}).setdefault(clock, []).append(
-                        mpix / max(seconds, 1e-9))
+                for clock, rate in by_clock.items():
+                    entry["trees"].setdefault(tree, {}).setdefault(clock, []).append(rate)
     return rates
 
 
@@ -140,19 +139,20 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="+", metavar="NAME=SRC")
     parser.add_argument("--size", type=int, default=1024)
-    parser.add_argument("--rounds", type=int, default=11)
+    parser.add_argument("--rounds", type=int, default=31)
     args = parser.parse_args(argv)
-    pairs = [arg.split("=", 1) for arg in args.trees if "=" in arg]
-    names = [name for name, _ in pairs]
-    if len(pairs) != len(args.trees) or len(set(names)) != len(names):
-        parser.error("give each tree as NAME=SRC, each under its own name")
+    srcs = {name: Path(src).resolve()
+            for name, src in (arg.split("=", 1) for arg in args.trees if "=" in arg)}
+    if len(srcs) != len(args.trees) or not all(
+            (src / "edgekeep" / "__init__.py").is_file() for src in srcs.values()):
+        parser.error("give each tree as NAME=SRC, each under its own name, SRC holding edgekeep/")
+    if args.size < 1 or args.size % 2:
+        parser.error("--size must be a positive even number")
     if args.rounds < 2:
         parser.error("--rounds must be 2 or more")
-    srcs = {name: Path(src).resolve() for name, src in pairs}
-    trees = {name: load_tree(name, src) for name, src in srcs.items()}
-    rates = measure(trees, args.size, args.rounds)
+    rates = measure(srcs, args.size, args.rounds)
     report = {
-        "order": names,  # the trees as given: the first is the base of comparisons
+        "order": list(srcs),  # the trees as given: the first is the base of comparisons
         "facts": {"size": args.size, "seed": SEED, "rounds": args.rounds,
                   "repeat": REPEAT, "nproc": len(os.sched_getaffinity(0)),
                   "python": platform.python_version(), "numpy": np.__version__},

@@ -4,7 +4,7 @@ Options can come from flags or from a flat JSON config file whose keys mirror
 the flag names; flags override the file, unknown config keys are rejected.
 Every command echoes its effective options, once validated, as one
 `config: {...}` JSON line on stderr that `--config` accepts back unchanged.
-Exit codes: 0 success, 1 I/O failure, 2 invalid parameters.
+Exit codes: 0 success, 1 I/O failure or out of memory, 2 invalid parameters.
 """
 
 from __future__ import annotations
@@ -128,6 +128,16 @@ def _read_image(path: str) -> ImageBuffer:
         raise
 
 
+def _write(path: Path, data: bytes):
+    """Replace path whole, by way of .NAME.partial beside it: a failed write changes nothing."""
+    temp = path.with_name(f".{path.name}.partial")
+    try:
+        temp.write_bytes(data)
+        temp.replace(path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def _echo_config(values: dict):
     print(f"config: {json.dumps(values, sort_keys=True)}", file=sys.stderr)
 
@@ -142,7 +152,7 @@ def _image_command(args, values: dict, op, timing: str = "", passes: int = 1):
     _echo_config(values)
     if timing:
         print(timing.format(w=img.width, h=img.height, s=s, p=s / passes), file=sys.stderr)
-    Path(args.output).write_bytes(save_pnm(out))
+    _write(Path(args.output), save_pnm(out))
 
 
 def cmd_filter(args, values: dict):
@@ -194,7 +204,7 @@ def cmd_bench(args, values: dict):
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, write in (("bench.csv", report_to_csv), ("bench.md", report_to_markdown)):
-        (outdir / name).write_text(write(report), encoding="utf-8", errors="surrogateescape")
+        _write(outdir / name, write(report).encode("utf-8", "surrogateescape"))
     print(f"wrote {outdir / 'bench.csv'} and {outdir / 'bench.md'}", file=sys.stderr)
 
 
@@ -240,8 +250,8 @@ def main(argv=None) -> int:
     try:
         args.handler(args, _resolve(args))  # returns on success, raises on failure
         return EXIT_OK
-    except (PnmError, OSError) as exc:
-        print(f"edgekeep: error: {exc}", file=sys.stderr)
+    except (PnmError, OSError, MemoryError) as exc:  # numpy's MemoryError names its array
+        print(f"edgekeep: error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         # invalid parameters, or a domain check such as metric image shapes;

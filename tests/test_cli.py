@@ -1,6 +1,7 @@
 """CLI behavior: commands, config handling, exit codes, and determinism."""
 
 import csv as csv_module
+import errno
 import inspect
 import json
 import math
@@ -124,6 +125,41 @@ def test_malformed_image_names_path_and_offset_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{bad}: expected P5 or P6 magic, got b'P4' (byte offset 0)\n" in err
     assert err.count("byte offset") == 1
+
+
+def test_out_of_memory_is_io_failure_in_one_line(tmp_path, gray_file, capsys, monkeypatch):
+    # numpy's MemoryError names the array it could not allocate.
+    message = "Unable to allocate 32.0 MiB for an array with shape (4, 1024, 1024)"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("edgekeep.texture.local_energy", exhausted)
+    assert main(["filter", "--mode", "multilateral", gray_file, str(tmp_path / "o.pgm")]) == 1
+    assert capsys.readouterr().err == f"edgekeep: error: {message}\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["in.pgm"]
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    (["filter", "in.pgm", "o.pgm"], ["o.pgm"]),
+    (["bench", "r", "in.pgm"], ["r/bench.csv", "r/bench.md"])])
+def test_failed_write_leaves_old_outputs_and_no_partial_file(
+        tmp_path, gray_file, capsys, monkeypatch, argv, outputs):
+    monkeypatch.chdir(tmp_path)
+    for name in outputs:
+        Path(name).parent.mkdir(exist_ok=True)
+        Path(name).write_text(f"old {name}")
+
+    def disk_full(path, data):  # writes half, then fails as a full disk does
+        with open(path, "wb") as file:
+            file.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(Path, "write_bytes", disk_full)
+    assert main(argv) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert {str(path) for path in Path().rglob("*") if path.is_file()} == {"in.pgm", *outputs}
+    assert all(Path(name).read_text() == f"old {name}" for name in outputs)
 
 
 def test_config_file_and_flag_override(tmp_path, gray_file):

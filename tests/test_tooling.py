@@ -62,12 +62,17 @@ def test_readme_library_quick_start_runs(capsys):
     assert capsys.readouterr().out.startswith("MetricsReport(snr_db=")
 
 
-def _load_bench_record():
-    path = SPANS.parent.parent / "scripts" / "bench_record.py"
-    spec = importlib.util.spec_from_file_location("bench_record", path)
+def _load_script(name: str):
+    """scripts/NAME.py as a fresh module."""
+    path = SPANS.parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_bench_record():
+    return _load_script("bench_record")
 
 
 def _write_run(directory, seed, trace, metrics, sha, raw=None, speed_factor=1.0):
@@ -166,7 +171,7 @@ STAGES = {"load_pnm", "save_pnm", "decompose", "local_energy", "classify",
 
 
 def test_stage_script_times_every_stage_of_each_tree(tmp_path):
-    # The same tree twice, under two names: each is its own package in one process.
+    # The same tree twice, under two names: each runs in its own processes.
     root = SPANS.parent.parent
     done = subprocess.run([sys.executable, str(root / "scripts" / "stages.py"),
                            f"b={root / 'src'}", f"a={root / 'src'}", "--size", "32",
@@ -197,6 +202,25 @@ def test_stage_script_times_every_stage_of_each_tree(tmp_path):
     assert folded["compared_with"] == "b"
     assert set(folded["comparisons"]["a"]) == STAGES
     assert folded["comparisons"]["a"]["run_bench"]["cpu"]["rounds"] == 2
+
+
+@pytest.mark.parametrize("size", ["0", "-8", "3", "33"])
+def test_stage_script_takes_only_a_positive_even_size(size, capsys):
+    # perfbench's mosaic needs an even side: an odd one gets cells of 1 pixel.
+    with pytest.raises(SystemExit) as excinfo:
+        _load_script("stages").main([f"a={SPANS.parent.parent / 'src'}", f"--size={size}"])
+    assert excinfo.value.code == 2
+    assert "--size must be a positive even number" in capsys.readouterr().err
+
+
+def test_stage_script_refuses_an_edgekeep_from_another_tree(tmp_path, monkeypatch):
+    # This process has imported the repository's edgekeep already, so an
+    # import after the tree's directory goes first on sys.path finds that one.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    (tmp_path / "edgekeep").mkdir()
+    (tmp_path / "edgekeep" / "__init__.py").write_text("")
+    with pytest.raises(ImportError, match="not the edgekeep in"):
+        _load_script("stages").import_tree(tmp_path)
 
 
 def test_bench_record_compares_stages_round_by_round():
