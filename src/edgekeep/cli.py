@@ -101,6 +101,8 @@ def _convert(opt: Option, value):
     except (TypeError, ValueError):
         noun = "an integer" if opt.type is int else "a number"
         raise ValueError(f"{opt.flag} must be {noun}, got {value!r}") from None
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError(f"{opt.flag} is too large for a float") from None
 
 
 def _resolve(args) -> dict:
@@ -128,14 +130,18 @@ def _read_image(path: str) -> ImageBuffer:
         raise
 
 
-def _write(path: Path, data: bytes):
-    """Replace path whole, by way of .NAME.partial beside it: a failed write changes nothing."""
-    temp = path.with_name(f".{path.name}.partial")
+def _write(outputs: dict[Path, bytes]):
+    """Replace each path whole, by way of .NAME.partial beside it. Every partial
+    file is written before the first rename, so a failed write changes nothing."""
+    temps = {path: path.with_name(f".{path.name}.partial") for path in outputs}
     try:
-        temp.write_bytes(data)
-        temp.replace(path)
+        for path, data in outputs.items():
+            temps[path].write_bytes(data)
+        for path, temp in temps.items():
+            temp.replace(path)
     finally:
-        temp.unlink(missing_ok=True)
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
 def _echo_config(values: dict):
@@ -152,7 +158,7 @@ def _image_command(args, values: dict, op, timing: str = "", passes: int = 1):
     _echo_config(values)
     if timing:
         print(timing.format(w=img.width, h=img.height, s=s, p=s / passes), file=sys.stderr)
-    _write(Path(args.output), save_pnm(out))
+    _write({Path(args.output): save_pnm(out)})
 
 
 def cmd_filter(args, values: dict):
@@ -203,8 +209,9 @@ def cmd_bench(args, values: dict):
     report = run_bench(images, values["seed"])
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, write in (("bench.csv", report_to_csv), ("bench.md", report_to_markdown)):
-        _write(outdir / name, write(report).encode("utf-8", "surrogateescape"))
+    # Both reports are rendered before either file is replaced, so they always match.
+    _write({outdir / name: render(report).encode("utf-8", "surrogateescape")
+            for name, render in (("bench.csv", report_to_csv), ("bench.md", report_to_markdown))})
     print(f"wrote {outdir / 'bench.csv'} and {outdir / 'bench.md'}", file=sys.stderr)
 
 

@@ -16,15 +16,14 @@ it to all channels and to both ends of the pair. Each window is summed in
 mirror quads, {+d, -d} pairs whose total no horizontal or vertical flip
 changes, so flipped inputs produce exactly flipped outputs. A weight is one exp
 of its summed exponents, floored at -700 where exp would slow. Each quad's
-numerators and denominator are stacked in one (c + 1)-row sum, its denominator
-row in average mode the unit weights' 2.0 per pair, so all modes add and divide
-alike.
+numerators and denominator are stacked in one (c + 1)-row sum. Average mode is
+bilateral mode at sigma_d = sigma_r = inf, whose unit weights the engine skips.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -95,7 +94,7 @@ def weight_multilateral(x, xi, img: ImageBuffer, tex: TextureMap,
 
 
 def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: FilterParams,
-                 weighted: bool, out: np.ndarray) -> None:
+                 out: np.ndarray) -> None:
     """Filter one row band into `out`, its rows of the output's (c, h, w) planes.
 
     `band` holds the band's rows of the padded channel planes plus m rows of
@@ -118,12 +117,13 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
     neg_inv_2st2 = -0.5 / (params.sigma_t ** 2)  # where labels differ, else 0
     # The lowest range and texture exponent of any pair: samples lie in [0, 1].
     lowest = c * neg_inv_2sr2 + (0.0 if flat_labels is None else neg_inv_2st2)
+    weighted = not (flat_labels is None and params.sigma_d == params.sigma_r == math.inf)
 
     def pair_sums(di: int, dj: int, sums: np.ndarray) -> None:
         """Numerator and denominator sums of offsets +d and -d, d = (di, dj) forward.
 
         The c numerator rows go to sums[:c] and the denominator to sums[c],
-        2.0 (two unit weights) in average mode. Each pair (q, q + s), q in
+        2.0 (two unit weights) unless `weighted`. Each pair (q, q + s), q in
         [x0 - s, x0 + N), is weighted once: pixel x reads it as q = x for +d
         and as q = x - s for -d, whose weighted diff is exactly the negation.
         """
@@ -183,43 +183,36 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
     np.clip(kept[:c], 0.0, 1.0, out=out)
 
 
-def _filter_pass(current: ImageBuffer, mode: FilterMode, params: FilterParams,
-                 tex: TextureMap | None) -> ImageBuffer:
+def _filter_pass(img: ImageBuffer, params: FilterParams, tex: TextureMap | None) -> ImageBuffer:
     """One pass in row bands on the band threads, into a buffer that adopts its output."""
-    out = np.empty(current.pixels.shape)
-    pixels = current.pixels.reshape(current.height, current.width, -1)  # c = 1 for gray
+    out = np.empty(img.pixels.shape)
+    pixels = img.pixels.reshape(img.height, img.width, -1)  # c = 1 for gray
     (h, w, c), m = pixels.shape, params.window_radius
     planes = np.moveaxis(out.reshape(h, w, c), -1, 0)  # each band writes its rows here
-    weighted = mode is not FilterMode.AVERAGE
 
     def band(y0: int, y1: int) -> None:
         # A band pads its own rows into channel planes, so per-channel
         # arithmetic runs over contiguous rows.
         band_labels = None if tex is None else _halo(tex.labels, y0, y1, m).ravel()
-        _filter_band(_halo(pixels, y0, y1, m), band_labels, params, weighted, planes[:, y0:y1])
+        _filter_band(_halo(pixels, y0, y1, m), band_labels, params, planes[:, y0:y1])
 
     _run_bands(h, c * (w + 2 * m), band)
     return ImageBuffer._adopt(out)
 
 
-def _oracle_pass(current: ImageBuffer, mode: FilterMode, params: FilterParams,
-                 tex: TextureMap | None) -> ImageBuffer:
+def _oracle_pass(img: ImageBuffer, params: FilterParams, tex: TextureMap | None) -> ImageBuffer:
     """One pass as a nested loop over every pixel and window member."""
     m = params.window_radius
-    out = np.empty(current.pixels.shape)
-    for y in range(current.height):
-        for x in range(current.width):
+    out = np.empty(img.pixels.shape)
+    for y in range(img.height):
+        for x in range(img.width):
             accum = total = 0.0  # accum turns into a channel vector for RGB
             for j in range(-m, m + 1):
                 for i in range(-m, m + 1):
                     xi = (x + i, y + j)
-                    if mode is FilterMode.AVERAGE:
-                        weight = 1.0
-                    elif mode is FilterMode.BILATERAL:
-                        weight = weight_bilateral((x, y), xi, current, params)
-                    else:
-                        weight = weight_multilateral((x, y), xi, current, tex, params)
-                    accum = accum + sample_at(current.pixels, xi) * weight
+                    weight = (weight_bilateral((x, y), xi, img, params) if tex is None
+                              else weight_multilateral((x, y), xi, img, tex, params))
+                    accum = accum + sample_at(img.pixels, xi) * weight
                     total += weight
             out[y, x] = accum / total
     return ImageBuffer(np.clip(out, 0.0, 1.0))
@@ -227,10 +220,12 @@ def _oracle_pass(current: ImageBuffer, mode: FilterMode, params: FilterParams,
 
 def _passes(one_pass, img: ImageBuffer, params: FilterParams | None, mode: FilterMode | str,
             texture: TextureMap | None, texture_params: TextureParams | None) -> ImageBuffer:
-    """Apply one_pass(img, mode, params, tex) params.passes times. tex is None but in
-    multilateral mode: the supplied map on the first pass, else the pass input's map."""
-    params = params or FilterParams()
-    mode = FilterMode(mode)
+    """Apply one_pass(img, params, tex) params.passes times. tex is None but in
+    multilateral mode: the supplied map on the first pass, else the pass input's map.
+    Average mode runs as bilateral mode at sigma_d = sigma_r = inf."""
+    params, mode = params or FilterParams(), FilterMode(mode)
+    if mode is FilterMode.AVERAGE:
+        params = replace(params, sigma_d=math.inf, sigma_r=math.inf)
     check_radius("window_radius", params.window_radius, img.pixels.shape)
     for pass_index in range(params.passes):
         tex = None  # the last pass's map is let go before this pass's is made
@@ -240,7 +235,7 @@ def _passes(one_pass, img: ImageBuffer, params: FilterParams | None, mode: Filte
             if tex.shape != (img.height, img.width):
                 raise ValueError(f"texture map shape {tex.shape} does not match image "
                                  f"{(img.height, img.width)}")
-        img = one_pass(img, mode, params, tex)
+        img = one_pass(img, params, tex)
     return img
 
 
@@ -252,11 +247,12 @@ def filter_image(img: ImageBuffer, params: FilterParams | None = None,
 
     Multilateral mode classifies texture from the grayscale of each pass's
     input with texture_params, base scale sigma_g included; a caller-supplied
-    map is honored for the first pass only. Average mode ignores all sigmas
-    and returns the plain window mean. Output samples are clamped to [0, 1]
-    after each pass (a no-op in exact arithmetic, since each output pixel is
-    a convex combination of window samples). A window radius above the image
-    bound (image.check_radius) raises a ValueError before the first pass.
+    map is honored for the first pass only. Average mode, the plain window
+    mean, is bilateral mode at sigma_d = sigma_r = inf. Output samples are
+    clamped to [0, 1] after each pass (a no-op in exact arithmetic, since each
+    output pixel is a convex combination of window samples). A window radius
+    above the image bound (image.check_radius) raises a ValueError before the
+    first pass.
     """
     return _passes(_filter_pass, img, params, mode, texture, texture_params)
 

@@ -103,11 +103,15 @@ def sample_at(field: np.ndarray, xy):
     return field[min(max(int(y), 0), h - 1), min(max(int(x), 0), w - 1)]
 
 
-def check_real(name: str, value):
-    """`value`; a ValueError naming `name` unless it is a real number, not a bool."""
+def check_real(name: str, value) -> float:
+    """`value` as a float; a ValueError naming `name` unless it is a real number
+    that a float can hold, and not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:  # an integer, or a ratio, past the float range
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def check_count(name: str, value, minimum: int | None = 1) -> int:
@@ -127,7 +131,8 @@ def check_sigma(name: str, value, finite: bool = False) -> None:
     with a square and an inverse square that are finite and nonzero. inf is
     the limit where the factor becomes 1; `finite` rejects it.
     """
-    if check_real(name, value) == math.inf and not finite:
+    value = check_real(name, value)
+    if value == math.inf and not finite:
         return
     square = value * value
     if not (value > 0.0 and 0.0 < square and 0.0 < 0.5 / square < math.inf):

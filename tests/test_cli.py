@@ -162,6 +162,24 @@ def test_failed_write_leaves_old_outputs_and_no_partial_file(
     assert all(Path(name).read_text() == f"old {name}" for name in outputs)
 
 
+def test_failed_report_render_leaves_both_old_reports(tmp_path, gray_file, capsys, monkeypatch):
+    # Both reports are rendered before either is replaced, so a failure in
+    # the second leaves no new CSV beside an old Markdown report.
+    monkeypatch.chdir(tmp_path)
+    Path("r").mkdir()
+    for name in ("bench.csv", "bench.md"):
+        Path("r", name).write_text(f"old {name}")
+
+    def exhausted(report):
+        raise MemoryError("Unable to allocate the report")
+
+    monkeypatch.setattr("edgekeep.cli.report_to_markdown", exhausted)
+    assert main(["bench", "r", "in.pgm"]) == 1
+    assert capsys.readouterr().err.endswith("edgekeep: error: Unable to allocate the report\n")
+    assert sorted(path.name for path in Path("r").iterdir()) == ["bench.csv", "bench.md"]
+    assert all(Path("r", name).read_text() == f"old {name}" for name in ("bench.csv", "bench.md"))
+
+
 def test_config_file_and_flag_override(tmp_path, gray_file):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "average", "radius": 3}))
@@ -172,6 +190,15 @@ def test_config_file_and_flag_override(tmp_path, gray_file):
     assert main(["filter", "--config", str(cfg), "--radius", "1",
                  gray_file, str(out2)]) == 0
     assert out1.read_bytes() != out2.read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["sigma-d", "smooth-threshold", "std"])
+def test_config_integer_past_the_float_range_is_usage_error(tmp_path, gray_file, capsys, flag):
+    command = "add-noise" if flag == "std" else "filter"
+    config = tmp_path / "c.json"
+    config.write_text(f'{{"{flag}": {"9" * 400}}}')
+    assert main([command, "--config", str(config), gray_file, str(tmp_path / "o.pgm")]) == 2
+    assert capsys.readouterr().err == f"edgekeep: error: {flag} is too large for a float\n"
 
 
 def test_unknown_config_key_rejected(tmp_path, gray_file, capsys):
@@ -577,7 +604,8 @@ _VALID["sigma-g"] |= st.floats(21.5, 2.0**17)  # steerable radius 66 and up
 # valid radius or pass count.
 _INVALID = st.one_of(
     st.just(math.nan), st.floats(max_value=0.0), st.integers(max_value=0),
-    st.floats(min_value=1e6), st.integers(min_value=10**6), st.text(max_size=4),
+    st.floats(min_value=1e6), st.integers(min_value=10**6),
+    st.integers(min_value=10**308, max_value=10**400), st.text(max_size=4),
     st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
 _FUZZ_COMMANDS = ("filter", "texture", "add-noise", "metrics")

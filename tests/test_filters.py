@@ -219,6 +219,27 @@ def test_infinite_sigmas_bilateral_is_average_bit_for_bit(shape):
             assert np.array_equal(bilateral.pixels, average.pixels), (radius, passes)
 
 
+def test_unit_weight_shortcut_follows_from_the_parameters(monkeypatch):
+    # Average mode and bilateral mode at sigma_d = sigma_r = inf weigh every
+    # pair 1 and call no exp; finite sigmas or a label map need the weights.
+    img = ImageBuffer(np.random.default_rng(6).random((9, 8)))
+    calls, exp = [], np.exp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    infinite = FilterParams(sigma_d=math.inf, sigma_r=math.inf)
+    for mode, params, weighted in ((FilterMode.AVERAGE, FilterParams(), False),
+                                   (FilterMode.BILATERAL, infinite, False),
+                                   (FilterMode.BILATERAL, FilterParams(), True),
+                                   (FilterMode.MULTILATERAL, infinite, True)):
+        calls.clear()
+        filter_image(img, params, mode, _flat_tex(9, 8))
+        assert bool(calls) == weighted, (mode, params)
+
+
 def test_huge_sigma_t_multilateral_equals_bilateral():
     rng = np.random.default_rng(4)
     img = ImageBuffer(rng.random((10, 8)))

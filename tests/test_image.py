@@ -356,6 +356,20 @@ def test_params_reject_bools_and_non_real_values_naming_the_field(make, field):
         make()
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: FilterParams(sigma_d=10**400), "sigma_d"),
+    (lambda: FilterParams(sigma_r=10**400), "sigma_r"),
+    (lambda: FilterParams(sigma_t=10**400), "sigma_t"),
+    (lambda: FilterParams(sigma_d=10**200), "sigma_d"),  # a float, but not its square
+    (lambda: TextureParams(sigma_g=10**400), "sigma_g"),
+    (lambda: TextureParams(smooth_threshold=10**400), "smooth_threshold"),
+    (lambda: NoiseSpec("gaussian", std=10**400), "std"),
+])
+def test_params_reject_integers_past_the_float_range_naming_the_field(make, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        make()
+
+
 def _accepts(shape, r) -> bool:
     try:
         check_radius("radius", r, shape)
