@@ -18,13 +18,12 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from .bench import (DEFAULT_BASE_SEED, format_metric, markdown_table, report_to_csv,
-                    report_to_markdown, run_bench)
+from .bench import format_metric, markdown_table, report_to_csv, report_to_markdown, run_bench
 from .filters import FilterMode, FilterParams, filter_image
 from .image import ImageBuffer, PnmError, load_pnm, save_pnm
 from .metrics import evaluate_pair, snr
 from .noise import NOISE_KINDS, NoiseSpec, add_noise
-from .texture import DEFAULT_SIGMA_G, TextureParams, compute_texture_map, texture_map_image
+from .texture import TextureParams, compute_texture_map, texture_map_image
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -35,8 +34,7 @@ REPORT_FORMATS = ("text", "csv", "markdown")
 
 class Option(NamedTuple):
     flag: str  # without the leading "--"; also the config key
-    type: type  # int, float or str
-    default: object
+    type: type  # int, float or str; a default may be None, so it is stated here
     help: str  # "" lists the choices
     field: str  # the library parameter the value is passed as
     commands: tuple[str, ...]
@@ -44,28 +42,33 @@ class Option(NamedTuple):
 
 
 _FILTER, _TEXTURE, _NOISE = ("filter",), ("filter", "texture"), ("add-noise",)
-# flag, type, default, help, library field, commands[, choices]
+# flag, type, help, library field, commands[, choices]
 OPTIONS = tuple(Option(*row) for row in (
-    ("mode", str, "bilateral", "", "mode", _FILTER, tuple(mode.value for mode in FilterMode)),
-    ("radius", int, 2, "window radius m", "window_radius", _FILTER),
-    ("sigma-d", float, 2.0, "spatial scale (pixels)", "sigma_d", _FILTER),
-    ("sigma-r", float, 0.1, "range scale (intensity)", "sigma_r", _FILTER),
-    ("sigma-t", float, 1.0, "texture scale (multilateral)", "sigma_t", _FILTER),
-    ("passes", int, 1, "filtering passes", "passes", _FILTER),
-    ("sigma-g", float, DEFAULT_SIGMA_G, "steerable base Gaussian scale", "sigma_g", _TEXTURE),
-    ("energy-radius", int, 2, "texture energy window radius", "energy_window_radius", _TEXTURE),
-    ("smooth-threshold", float, None, "absolute smooth threshold", "smooth_threshold", _TEXTURE),
-    ("complex-ratio", float, 0.8, "complex-texture energy ratio", "complex_ratio", _TEXTURE),
-    ("noise", str, "salt-pepper", " | ".join(NOISE_KINDS), "kind", _NOISE),
-    ("density", float, 0.05, "salt-pepper corruption fraction", "density", _NOISE),
-    ("std", float, 0.05, "gaussian standard deviation", "std", _NOISE),
-    ("seed", int, 0, "PRNG seed", "seed", _NOISE),
-    ("report", str, "text", "", "report", ("metrics",), REPORT_FORMATS),
-    ("seed", int, DEFAULT_BASE_SEED, "base seed for all noise realizations", "base_seed",
-     ("bench",)),
+    ("mode", str, "", "mode", _FILTER, tuple(mode.value for mode in FilterMode)),
+    ("radius", int, "window radius m", "window_radius", _FILTER),
+    ("sigma-d", float, "spatial scale (pixels)", "sigma_d", _FILTER),
+    ("sigma-r", float, "range scale (intensity)", "sigma_r", _FILTER),
+    ("sigma-t", float, "texture scale (multilateral)", "sigma_t", _FILTER),
+    ("passes", int, "filtering passes", "passes", _FILTER),
+    ("sigma-g", float, "steerable base Gaussian scale", "sigma_g", _TEXTURE),
+    ("energy-radius", int, "texture energy window radius", "energy_window_radius", _TEXTURE),
+    ("smooth-threshold", float, "absolute smooth threshold", "smooth_threshold", _TEXTURE),
+    ("complex-ratio", float, "complex-texture energy ratio", "complex_ratio", _TEXTURE),
+    ("noise", str, "", "kind", _NOISE, NOISE_KINDS),
+    ("density", float, "salt-pepper corruption fraction", "density", _NOISE),
+    ("std", float, "gaussian standard deviation", "std", _NOISE),
+    ("seed", int, "PRNG seed", "seed", _NOISE),
+    ("report", str, "", "report", ("metrics",), REPORT_FORMATS),
+    ("seed", int, "base seed for all noise realizations", "base_seed", ("bench",)),
 ))
 
 _FLAG_OF = {opt.field: opt.flag for opt in OPTIONS}
+# Each option's default by library field: its library parameter's, else its first choice.
+_DEFAULTS = {opt.field: opt.choices[0] for opt in OPTIONS if opt.choices} | {
+    name: p.default.value if isinstance(p.default, FilterMode) else p.default
+    for make in (FilterParams, filter_image, TextureParams, NoiseSpec, run_bench)
+    for name, p in inspect.signature(make).parameters.items()
+    if name in _FLAG_OF and p.default is not p.empty}
 
 
 def _options(command: str) -> list[Option]:
@@ -86,9 +89,9 @@ def _load_config(path: str, flags) -> dict:
 
 
 def _convert(opt: Option, value):
-    """A flag or config value as the option's type; None selects the default."""
+    """A flag string or config value as the option's type; None selects the default."""
     if value is None:
-        return opt.default
+        return _DEFAULTS[opt.field]
     if opt.choices and value not in opt.choices:
         raise ValueError(f"{opt.flag} must be one of {', '.join(opt.choices)}; got {value!r}")
     if opt.type is str:
@@ -242,8 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for name, kwargs in arguments:
             p.add_argument(name, **kwargs)
         for opt in _options(command):
-            p.add_argument(f"--{opt.flag}", type=opt.type,
-                           help=opt.help or " | ".join(opt.choices))
+            p.add_argument(f"--{opt.flag}", help=opt.help or " | ".join(opt.choices))
         p.add_argument("--config", help="flat JSON config file; flags override it")
         p.set_defaults(handler=handler)
     return parser

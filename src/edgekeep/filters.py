@@ -66,7 +66,7 @@ class FilterParams:
         if self.passes > PASSES_LIMIT:
             raise ValueError(f"passes must be <= {PASSES_LIMIT}, got {self.passes}")
         for name in ("sigma_d", "sigma_r", "sigma_t"):
-            check_sigma(name, getattr(self, name))
+            object.__setattr__(self, name, check_sigma(name, getattr(self, name)))
 
 
 def weight_bilateral(x, xi, img: ImageBuffer, params: FilterParams) -> float:

@@ -124,8 +124,9 @@ def check_count(name: str, value, minimum: int | None = 1) -> int:
     return int(value)
 
 
-def check_sigma(name: str, value, finite: bool = False) -> None:
-    """A ValueError naming `name` unless `value` is a usable Gaussian scale.
+def check_sigma(name: str, value, finite: bool = False) -> float:
+    """`value` as a float; a ValueError naming `name` unless it is a usable
+    Gaussian scale.
 
     Weights and taps divide by value**2, so a finite value must be positive
     with a square and an inverse square that are finite and nonzero. inf is
@@ -133,12 +134,13 @@ def check_sigma(name: str, value, finite: bool = False) -> None:
     """
     value = check_real(name, value)
     if value == math.inf and not finite:
-        return
+        return value
     square = value * value
     if not (value > 0.0 and 0.0 < square and 0.0 < 0.5 / square < math.inf):
         raise ValueError(f"{name} is out of range, got {value}: it must be "
                          f"{'' if finite else 'inf, or '}positive with a finite nonzero "
                          f"square and inverse square")
+    return value
 
 
 def check_radius(name: str, value, shape, radius: int | None = None) -> None:

@@ -14,8 +14,9 @@ exactly.
 
 These passes, the texture energies and labels, and the filter passes run in
 row bands of about _BAND_SAMPLES samples on one thread pool made at import
-(_run_bands); a band is told only its rows. Each sample sees the same
-operations in any band, so results depend on neither band size nor core count.
+(_run_bands); a band is told only its rows, and may start band runs itself.
+Each sample sees the same operations in any band, so results depend on
+neither band size nor core count.
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ def _run_bands(rows: int, row_samples: int, band) -> None:
 
     Up to _WORKERS threads, the calling thread among them, pull bands from one
     iterator; a single band runs alone on the calling thread, with no lock or
-    pool. `band` must start no band run itself: the pool threads would wait on
-    one another's queued bands forever.
+    pool. Once the calling thread finds no band left, it cancels the helpers
+    that never started and waits only for the others, so a band may start band
+    runs itself: a helper queued behind the thread that waits for it is
+    cancelled, not waited for.
     """
     count = max(1, min(rows, -(-rows * row_samples // _BAND_SAMPLES)))
     if count == 1:
@@ -78,8 +81,9 @@ def _run_bands(rows: int, row_samples: int, band) -> None:
     try:
         work_through_bands()
     finally:
-        wait(futures)
-    for future in futures:
+        started = [future for future in futures if not future.cancel()]
+        wait(started)
+    for future in started:
         future.result()
 
 
@@ -90,7 +94,7 @@ def gaussian_derivative_taps(sigma: float, radius: int) -> tuple[np.ndarray, np.
     unnormalized. The x-derivative kernel is outer(g, d) (rows v, columns u),
     which responds to variation along x; the y kernel is outer(d, g).
     """
-    check_sigma("sigma", sigma, finite=True)
+    sigma = check_sigma("sigma", sigma, finite=True)
     radius = check_count("radius", radius)
     u = np.arange(-radius, radius + 1, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):

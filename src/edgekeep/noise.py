@@ -33,9 +33,11 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        if not 0.0 <= check_real("density", self.density) <= 1.0:
+        for name in ("density", "std"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        if not 0.0 <= self.density <= 1.0:
             raise ValueError(f"density must lie in [0, 1], got {self.density}")
-        if not 0.0 <= check_real("std", self.std) < math.inf:
+        if not 0.0 <= self.std < math.inf:
             raise ValueError(f"std must be finite and >= 0, got {self.std}")
         object.__setattr__(self, "seed", check_count("seed", self.seed, minimum=None))
 

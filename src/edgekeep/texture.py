@@ -86,12 +86,16 @@ class TextureParams:
     def __post_init__(self):
         object.__setattr__(self, "energy_window_radius",
                            check_count("energy_window_radius", self.energy_window_radius))
-        threshold = self.smooth_threshold
-        if threshold is not None and not check_real("smooth_threshold", threshold) >= 0.0:
-            raise ValueError(f"smooth_threshold must be >= 0, got {self.smooth_threshold}")
-        if not 0.0 < check_real("complex_ratio", self.complex_ratio) <= 1.0:
-            raise ValueError(f"complex_ratio must lie in (0, 1], got {self.complex_ratio}")
-        check_sigma("sigma_g", self.sigma_g, finite=True)
+        if self.smooth_threshold is not None:
+            threshold = check_real("smooth_threshold", self.smooth_threshold)
+            if not threshold >= 0.0:
+                raise ValueError(f"smooth_threshold must be >= 0, got {threshold}")
+            object.__setattr__(self, "smooth_threshold", threshold)
+        ratio = check_real("complex_ratio", self.complex_ratio)
+        if not 0.0 < ratio <= 1.0:
+            raise ValueError(f"complex_ratio must lie in (0, 1], got {ratio}")
+        object.__setattr__(self, "complex_ratio", ratio)
+        object.__setattr__(self, "sigma_g", check_sigma("sigma_g", self.sigma_g, finite=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +129,7 @@ def decompose(field: np.ndarray,
     column pass over mirror-paired taps. The band at angle theta is
     cos(theta) * bx + sin(theta) * by. A radius above the image bound
     (image.check_radius) raises a ValueError before the taps are built."""
-    check_sigma("sigma_g", sigma_g, finite=True)
+    sigma_g = check_sigma("sigma_g", sigma_g, finite=True)
     check_radius("sigma_g", sigma_g, np.shape(field), steerable_radius(sigma_g))
     g, d = gaussian_derivative_taps(sigma_g, steerable_radius(sigma_g))
     return convolve(field, g, d), convolve(field, d, g)

@@ -2,12 +2,10 @@
 
 import csv as csv_module
 import errno
-import inspect
 import json
 import math
 import os
 import re
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from edgekeep.bench import run_bench
 from edgekeep.cli import OPTIONS, main
-from edgekeep.filters import FilterParams, filter_image
 from edgekeep.image import ImageBuffer, load_pnm, save_pnm
-from edgekeep.noise import NoiseSpec
 from edgekeep.synth import grating, step_edge
-from edgekeep.texture import TextureParams, steerable_radius
+from edgekeep.texture import steerable_radius
 
 
 def write_pnm(path, img):
@@ -97,6 +92,19 @@ def test_sigma_g_out_of_range_is_usage_error(tmp_path, command, value, capsys):
     code = main(command + [f"--sigma-g={value}", src, str(tmp_path / "b.pgm")])
     assert code == 2
     assert "sigma-g" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("radius", "2.5", "radius must be an integer, got '2.5'"),
+    ("sigma-d", "x", "sigma-d must be a number, got 'x'"),
+    ("mode", "x", "mode must be one of bilateral, multilateral, average; got 'x'"),
+])
+def test_bad_flag_value_prints_one_error_line(tmp_path, gray_file, capsys, flag, value,
+                                              message):
+    out = tmp_path / "o.pgm"
+    assert main(["filter", f"--{flag}", value, gray_file, str(out)]) == 2
+    assert capsys.readouterr().err == f"edgekeep: error: {message}\n"
+    assert not out.exists()
 
 
 def test_filter_invalid_mode(tmp_path, gray_file, capsys):
@@ -555,27 +563,6 @@ def test_bench_reports_quote_any_image_name(tmp_path):
     assert {len(re.split(rb"(?<!\\)\|", row)) - 2 for row in table_rows} == {7}
 
 
-def test_option_defaults_match_the_library():
-    # OPTIONS repeats each library default; neither side may change alone. The
-    # report format and the noise kind have none in the library: the CLI's own.
-    library = {"filter": (FilterParams, filter_image), "texture": (TextureParams,),
-               "add-noise": (NoiseSpec,), "bench": (run_bench,)}
-    checked = []
-    for opt in OPTIONS:
-        if opt.commands == ("metrics",):
-            continue
-        found = [parameters[opt.field]
-                 for make in {make for command in opt.commands for make in library[command]}
-                 if opt.field in (parameters := inspect.signature(make).parameters)]
-        assert len(found) == 1, opt.flag
-        if (default := found[0].default) is inspect.Parameter.empty:
-            continue
-        default = default.value if isinstance(default, Enum) else default
-        assert (default, type(default)) == (opt.default, type(opt.default)), opt.flag
-        checked.append(opt.flag)
-    assert len(checked) == len(OPTIONS) - 2
-
-
 def test_usage_error_without_command(capsys):
     assert main([]) == 2
 
@@ -601,13 +588,16 @@ for flag in ("radius", "energy-radius"):
     _VALID[flag] |= st.integers(65, 2**17)
 _VALID["sigma-g"] |= st.floats(21.5, 2.0**17)  # steerable radius 66 and up
 # Out of every option's range, or of its type; none of these is a small
-# valid radius or pass count.
-_INVALID = st.one_of(
-    st.just(math.nan), st.floats(max_value=0.0), st.integers(max_value=0),
-    st.floats(min_value=1e6), st.integers(min_value=10**6),
-    st.integers(min_value=10**308, max_value=10**400), st.text(max_size=4),
-    st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
-    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+# valid radius or pass count. The three kinds are drawn evenly, so integers
+# past the float range, which JSON holds and a float does not, are not rare.
+_INVALID = st.sampled_from([
+    st.one_of(st.just(math.nan), st.floats(max_value=0.0), st.integers(max_value=0),
+              st.floats(min_value=1e6), st.integers(min_value=10**6)),
+    st.integers(min_value=2**1024, max_value=10**400),
+    st.one_of(st.text(max_size=4), st.booleans(), st.none(),
+              st.lists(st.integers(), max_size=2),
+              st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)),
+]).flatmap(lambda kind: kind)
 _FUZZ_COMMANDS = ("filter", "texture", "add-noise", "metrics")
 
 
@@ -628,32 +618,39 @@ def fuzz_dir(tmp_path_factory):
 @given(data=st.data())
 def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):
     command = data.draw(st.sampled_from(_FUZZ_COMMANDS))
-    # Half the draws hold only valid values, so the runs that succeed are
-    # not rare.
-    broken = data.draw(st.booleans())
-    flags = [opt.flag for opt in OPTIONS if command in opt.commands] + ["bogus"] * broken
+    options = [opt.flag for opt in OPTIONS if command in opt.commands]
+    # Half the draws hold only valid values, so the runs that succeed are not
+    # rare. The others break exactly one thing, so that no earlier failure
+    # ends a run before its broken value is read: the whole config file, or
+    # one option or the bogus one, which is tried as a flag and then as a
+    # config key.
+    broken = data.draw(st.none() | st.sampled_from(options + ["bogus", "config"]))
+    some = st.lists(st.sampled_from(options), max_size=4, unique=True)
+    flags = {flag: data.draw(_VALID[flag]) for flag in data.draw(some)}
+    config = {flag: data.draw(_VALID[flag]) for flag in data.draw(some)}
+    config_text = json.dumps(config) if data.draw(st.booleans()) else None  # None: no file
+    if broken == "config":
+        runs = [(flags, json.dumps(data.draw(_INVALID)))]
+    elif broken:  # as a flag, then as a config key with no flag to override it
+        bad = data.draw(_INVALID)
+        unflagged = {flag: value for flag, value in flags.items() if flag != broken}
+        runs = [({**flags, broken: bad}, config_text),
+                (unflagged, json.dumps({**config, broken: bad}))]
+    else:
+        runs = [(flags, config_text)]
 
-    def value(flag):
-        valid = _VALID.get(flag, _INVALID)
-        return data.draw(valid | _INVALID if broken else valid)
-
-    argv = [command]
-    for flag in data.draw(st.lists(st.sampled_from(flags), max_size=4)):
-        argv.append(f"--{flag}={value(flag)}")
-    if data.draw(st.booleans()):
-        keys = data.draw(st.lists(st.sampled_from(flags), max_size=4, unique=True))
-        config = {flag: value(flag) for flag in keys}
-        if broken:
-            config = data.draw(st.just(config) | _INVALID)
-        (fuzz_dir / "config.json").write_text(json.dumps(config))
-        argv += ["--config", str(fuzz_dir / "config.json")]
     images = st.sampled_from(["gray.pgm", "rgb.ppm", "row.pgm", "column.pgm", "two-rows.ppm",
                               "absent.pgm"])
-    argv.append(str(fuzz_dir / data.draw(images)))
+    positionals = [str(fuzz_dir / data.draw(images))]
     if command == "metrics":
-        argv.append(str(fuzz_dir / data.draw(images)))
+        positionals.append(str(fuzz_dir / data.draw(images)))
         if data.draw(st.booleans()):
-            argv += ["--clean", str(fuzz_dir / data.draw(images))]
+            positionals += ["--clean", str(fuzz_dir / data.draw(images))]
     else:
-        argv.append(str(fuzz_dir / "out.pnm"))
-    assert main(argv) in (0, 1, 2)
+        positionals.append(str(fuzz_dir / "out.pnm"))
+    for run_flags, text in runs:
+        argv = [command] + [f"--{flag}={value}" for flag, value in run_flags.items()]
+        if text is not None:
+            (fuzz_dir / "config.json").write_text(text)
+            argv += ["--config", str(fuzz_dir / "config.json")]
+        assert main(argv + positionals) in (0, 1, 2)

@@ -560,6 +560,15 @@ def test_engine_matches_oracle_multipass_and_params():
         assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12
 
 
+def test_engine_matches_oracle_at_a_float32_sigma():
+    # The params hold the sigma as a float, so the oracle's exponents do not
+    # run in float32.
+    img = ImageBuffer(np.random.default_rng(16).random((12, 12)))
+    params = FilterParams(sigma_r=np.float32(0.1))
+    fast = filter_image(img, params)
+    assert np.abs(fast.pixels - filter_oracle(img, params).pixels).max() <= 1e-12
+
+
 def test_engine_matches_oracle_window_larger_than_image():
     rng = np.random.default_rng(15)
     params = FilterParams(window_radius=4)

@@ -1,6 +1,8 @@
 """Image buffer, edge-clamped addressing, grayscale, and PNM round-trip tests."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -147,6 +149,19 @@ def test_load_unsupported_maxval():
     with pytest.raises(UnsupportedMaxvalError) as info:
         load_pnm(b"P5\n1 1\n128\n" + bytes(1))
     assert info.value.offset == len(b"P5\n1 1\n")
+
+
+def test_load_zero_height():
+    with pytest.raises(MalformedHeaderError, match="height must be >= 1") as info:
+        load_pnm(b"P5\n1 0\n255\n")
+    assert info.value.offset == len(b"P5\n1 ")
+
+
+@pytest.mark.parametrize("data", [b"P5\n1 1\n255#c\n\x00", b"P5\n1 1\n255"])
+def test_load_requires_a_whitespace_byte_after_maxval(data):
+    with pytest.raises(MalformedHeaderError, match="whitespace byte after maxval") as info:
+        load_pnm(data)
+    assert info.value.offset == len(b"P5\n1 1\n255")
 
 
 # --- PNM saving and round-trip ---
@@ -368,6 +383,22 @@ def test_params_reject_bools_and_non_real_values_naming_the_field(make, field):
 def test_params_reject_integers_past_the_float_range_naming_the_field(make, field):
     with pytest.raises(ValueError, match=f"^{field} "):
         make()
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda: FilterParams(sigma_d=2, sigma_r=np.float32(0.1), sigma_t=Fraction(1, 2)),
+     ("sigma_d", "sigma_r", "sigma_t")),
+    (lambda: FilterParams(sigma_d=math.inf, sigma_r=np.float64(math.inf)), ("sigma_d", "sigma_r")),
+    (lambda: TextureParams(sigma_g=1, smooth_threshold=np.float16(0.5),
+                           complex_ratio=Fraction(4, 5)),
+     ("sigma_g", "smooth_threshold", "complex_ratio")),
+    (lambda: NoiseSpec("gaussian", density=Fraction(1, 4), std=np.float32(0.2)),
+     ("density", "std")),
+])
+def test_params_store_each_real_as_a_float(make, fields):
+    params = make()
+    for field in fields:
+        assert type(getattr(params, field)) is float, field
 
 
 def _accepts(shape, r) -> bool:

@@ -1,8 +1,13 @@
 """1-D tap generation and separable convolution tests, pinned against brute-force oracles."""
 
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,3 +332,34 @@ def test_empty_fields_give_empty_results(shape):
     energies = local_energy((field, field))
     assert energies.shape == (4,) + shape
     assert classify(energies).shape == shape
+
+
+# --- band runs ---
+
+def test_a_band_may_start_band_runs():
+    # Both threads of a two-worker run start a band run from inside a band, so
+    # each inner run's helper queues behind a busy pool thread. A run that
+    # waited for its unstarted helper would hang; the child keeps a hung pool
+    # thread out of this process, which it would keep from exiting.
+    code = textwrap.dedent("""
+        import threading
+        from edgekeep import kernels
+        kernels._WORKERS = 2
+        kernels._new_pool()  # one band thread, whatever the core count
+        both_in = threading.Barrier(2, timeout=30)
+        inner = []
+
+        def band(y0, y1):
+            both_in.wait()
+            kernels._run_bands(2, kernels._BAND_SAMPLES, lambda *rows: inner.append(rows))
+
+        kernels._run_bands(2, kernels._BAND_SAMPLES, band)
+        print(sorted(inner))
+        """)
+    src = str(Path(kernels.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[(0, 1), (0, 1), (1, 2), (1, 2)]\n"

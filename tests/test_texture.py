@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,6 +163,11 @@ def test_classify_empty_stack_warns_nothing():
             warnings.simplefilter("error")
             tex = classify(np.zeros(shape))
         assert tex.shape == shape[1:] and tex.labels.dtype == np.uint8
+
+
+def test_classify_rejects_other_than_four_energy_planes():
+    with pytest.raises(ValueError, match=re.escape("expected (4, h, w) energies, got (3, 4, 4)")):
+        classify(np.zeros((3, 4, 4)))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -348,6 +354,15 @@ def test_texture_params_validation():
         TextureParams(complex_ratio=1.5)
 
 
+def test_texture_params_of_other_real_types_classify_as_their_floats():
+    img = ImageBuffer(np.random.default_rng(26).random((12, 12)))
+    for params, as_float in ((TextureParams(complex_ratio=Fraction(4, 5)), TextureParams()),
+                             (TextureParams(smooth_threshold=Fraction(1, 100), sigma_g=1),
+                              TextureParams(smooth_threshold=0.01))):
+        assert np.array_equal(compute_texture_map(img, params).labels,
+                              compute_texture_map(img, as_float).labels)
+
+
 @pytest.mark.parametrize("field, value", [
     ("energy_window_radius", 65), ("sigma_g", 21.5), ("sigma_g", 1e5), ("sigma_g", 1e150),
 ])  # sigma_g 21.5 sets radius 66
@@ -438,6 +453,16 @@ def test_texture_map_keeps_valid_labels_as_read_only_uint8():
         tex = TextureMap(given_labels)
         assert tex.labels.dtype == np.uint8 and not tex.labels.flags.writeable
         assert np.array_equal(tex.labels, given_labels)
+
+
+def test_texture_map_rejects_labels_that_are_not_2d():
+    with pytest.raises(ValueError, match=re.escape("labels must be 2-D, got shape (2, 2, 1)")):
+        TextureMap(np.zeros((2, 2, 1), dtype=np.uint8))
+
+
+def test_grating_rejects_an_unknown_axis():
+    with pytest.raises(ValueError, match="axis must be 'x' or 'y', got 'z'"):
+        grating(8, "z")
 
 
 def test_export_gray_levels():
