@@ -88,8 +88,9 @@ def _load_config(path: str, flags) -> dict:
     return config
 
 
-def _convert(opt: Option, value):
-    """A flag string or config value as the option's type; None selects the default."""
+def _convert(opt: Option, value, flag: bool):
+    """A flag string or config value as the option's type; None selects the default.
+    An int option takes 3, not 3.0, and a config number must be a JSON number."""
     if value is None:
         return _DEFAULTS[opt.field]
     if opt.choices and value not in opt.choices:
@@ -97,8 +98,7 @@ def _convert(opt: Option, value):
     if opt.type is str:
         return value
     try:
-        if isinstance(value, bool) or (opt.type is int and isinstance(value, float)
-                                       and not value.is_integer()):
+        if type(value) not in ((str,) if flag else (int,) if opt.type is int else (int, float)):
             raise TypeError
         return opt.type(value)
     except (TypeError, ValueError):
@@ -115,7 +115,8 @@ def _resolve(args) -> dict:
     values = {}
     for opt in options:
         value = getattr(args, opt.flag.replace("-", "_"))
-        values[opt.flag] = _convert(opt, config.get(opt.flag) if value is None else value)
+        values[opt.flag] = (_convert(opt, config.get(opt.flag), False) if value is None
+                            else _convert(opt, value, True))
     return values
 
 

@@ -52,9 +52,9 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def _run_bands(rows: int, row_samples: int, band) -> None:
-    """Call band(y0, y1) for balanced bands (heights differ by one row at
-    most) of about _BAND_SAMPLES samples, over `rows` rows of `row_samples`.
+def _run_bands(rows: int, row_samples: int, band, min_rows: int = 1) -> None:
+    """Call band(y0, y1) for balanced bands (heights differ by one row at most) of
+    about _BAND_SAMPLES samples, and min_rows rows or more, over `rows` rows of `row_samples`.
 
     Up to _WORKERS threads, the calling thread among them, pull bands from one
     iterator; a single band runs alone on the calling thread, with no lock or
@@ -63,7 +63,7 @@ def _run_bands(rows: int, row_samples: int, band) -> None:
     runs itself: a helper queued behind the thread that waits for it is
     cancelled, not waited for.
     """
-    count = max(1, min(rows, -(-rows * row_samples // _BAND_SAMPLES)))
+    count = max(1, min(rows // min_rows, -(-rows * row_samples // _BAND_SAMPLES)))
     if count == 1:
         return band(0, rows)
     bands = iter((rows * i // count, rows * (i + 1) // count) for i in range(count))
@@ -111,7 +111,8 @@ def _taps_pass(src: np.ndarray, taps: np.ndarray, axis: int,
     `src` carries r = len(taps) // 2 samples of padding at both ends of
     `axis`; the output, written to `out` when given, drops them. Taps at +/-k
     are summed or subtracted as a pair when they are equal or opposite, then
-    multiplied once.
+    multiplied once. A centre tap of 1.0 joins such a nonzero first pair's term and one
+    of 0.0 is skipped, no product: bit-identical but for a zero's sign and an inf or NaN centre.
     """
     r = len(taps) // 2
     n = src.shape[axis] - 2 * r
@@ -121,23 +122,27 @@ def _taps_pass(src: np.ndarray, taps: np.ndarray, axis: int,
         index[axis] = slice(r - u, r - u + n)
         return src[tuple(index)]
 
-    out = np.multiply(at(0), taps[r], out=out)
+    fold = r and taps[r - 1] and abs(taps[r - 1]) == abs(taps[r + 1]) and taps[r] in (0.0, 1.0)
+    out = (np.multiply(at(0), taps[r], out=out) if not fold
+           else np.empty(at(0).shape) if out is None else out)
     pair = np.empty_like(out)
     for k in range(1, r + 1):
         a, b = taps[r + k], taps[r - k]  # weights of src(x - k) and src(x + k)
+        term = out if fold and k == 1 else pair
         if a == b:
             if a == 0.0:
                 continue
-            np.add(at(k), at(-k), out=pair)
+            np.add(at(k), at(-k), out=term)
         elif a == -b:
-            np.subtract(at(k), at(-k), out=pair)
+            np.subtract(at(k), at(-k), out=term)
         else:
             out += a * at(k)
             out += b * at(-k)
             continue
         if a != 1.0:
-            pair *= a
-        out += pair
+            term *= a
+        if term is pair or taps[r]:  # a folded 1.0 joins the first term: t + c is c + t
+            out += pair if term is pair else at(0)
     return out
 
 
@@ -165,10 +170,10 @@ def _halo(field: np.ndarray, y0: int, y1: int, r: int, times=None) -> np.ndarray
 def _separable(field: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,
                out: np.ndarray, divisor: float = 1.0, times=None) -> np.ndarray:
     """Row pass, then column pass, over `field` (or field * times) padded by the
-    taps' radius, into `out`, each sample then divided by `divisor` unless it
-    is 1; a row band at a time, each band padding its own rows (_halo) and each
-    sample seeing the same operations in any band. A radius above the image
-    bound (image.check_radius) raises a ValueError first; an empty field gives `out`.
+    taps' radius, into `out`, each sample then divided by `divisor` unless it is
+    1; in bands of 2r rows or more, as each pads (_halo) and row-passes its own
+    2r halo rows. A radius above the image bound (image.check_radius) raises a
+    ValueError first; an empty field gives `out`.
     """
     if field.ndim != 2:
         raise ValueError(f"expected an (h, w) field, got shape {field.shape}")
@@ -183,7 +188,7 @@ def _separable(field: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,
         if divisor != 1.0:
             np.divide(out[y0:y1], divisor, out=out[y0:y1])
 
-    _run_bands(out.shape[0], field.shape[1] + 2 * r, band)
+    _run_bands(out.shape[0], field.shape[1] + 2 * r, band, max(1, 2 * r))
     return out
 
 

@@ -44,6 +44,7 @@ ADAPTIVE_THRESHOLD_FRACTION = 0.1
 # constant image's energies are exactly 0 (mirror-paired taps); at a 0
 # threshold none is below it, and every pixel would fall to complex, not smooth.
 _ADAPTIVE_THRESHOLD_FLOOR = 1e-12
+_spare_energies: dict[tuple, np.ndarray] = {}  # see compute_texture_map
 
 
 class TextureClass(IntEnum):
@@ -152,7 +153,8 @@ def local_energy(basis, window_radius: int = TextureParams.energy_window_radius)
     if bx.ndim != 2 or by.shape != bx.shape:
         raise ValueError(f"expected two (h, w) fields, got shapes {bx.shape} and {by.shape}")
     check_radius("window_radius", window_radius, bx.shape)
-    energies = np.empty((len(ORIENTATIONS_DEG),) + bx.shape)
+    energies = _spare_energies.pop(shape := (len(ORIENTATIONS_DEG),) + bx.shape, None)
+    energies = np.empty(shape) if energies is None else energies  # pop is atomic: one taker
     for a, b, plane in ((bx, bx, 0), (by, by, 1), (bx, by, 3)):
         window_mean(a, window_radius, times=b, out=energies[plane])
 
@@ -203,13 +205,13 @@ def classify(energies: np.ndarray, params: TextureParams | None = None) -> Textu
         largest = np.maximum(hi01, hi23)
         second = np.maximum(np.minimum(hi01, hi23, out=hi01),
                             np.maximum(lo01, lo23, out=lo01), out=hi01)
-        # The first-wins argmax, 0-3: a later band wins only when larger.
+        # The first-wins argmax a, then ORIENT_0 + a, COMPLEX or SMOOTH (0); no NaN: < negates >=.
         np.greater(e1, e0, out=band_labels)
-        np.copyto(band_labels, np.greater(e3, e2).view(np.uint8) + 2, where=later)
-        band_labels += int(TextureClass.ORIENT_0)
-        np.copyto(band_labels, int(TextureClass.COMPLEX),
-                  where=second >= np.multiply(largest, params.complex_ratio, out=lo23))
-        np.copyto(band_labels, int(TextureClass.SMOOTH), where=largest < threshold)
+        band_labels += (np.greater(e3, e2).view(np.uint8) + 2 - band_labels) * later
+        band_labels += int(TextureClass.ORIENT_0 - TextureClass.COMPLEX)
+        band_labels *= second < np.multiply(largest, params.complex_ratio, out=lo23)
+        band_labels += int(TextureClass.COMPLEX)
+        band_labels *= largest >= threshold
 
     _run_bands(*labels.shape, tournament)  # each op spans one (rows, w) plane
     return TextureMap(labels)
@@ -222,13 +224,17 @@ def compute_texture_map(img: ImageBuffer, params: TextureParams | None = None) -
     Color images are grayscale-converted first; texture is independent of
     color. An energy window radius above the image bound (image.check_radius)
     raises a ValueError before any of that; decompose checks the steerable
-    radius.
+    radius. The energies, seen by no caller, are kept (one block at most) for the
+    next local_energy of their shape, which then maps and zero-fills no new one.
     """
+    global _spare_energies
     params = params or TextureParams()
     check_radius("energy_window_radius", params.energy_window_radius, img.pixels.shape)
     energies = local_energy(decompose(to_grayscale(img).pixels, params.sigma_g),
                             params.energy_window_radius)
-    return classify(energies, params)
+    tex = classify(energies, params)
+    _spare_energies = {energies.shape: energies}  # any older block is let go
+    return tex
 
 
 def texture_distance(a, b) -> float:

@@ -96,6 +96,7 @@ def test_sigma_g_out_of_range_is_usage_error(tmp_path, command, value, capsys):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("radius", "2.5", "radius must be an integer, got '2.5'"),
+    ("radius", "3.0", "radius must be an integer, got '3.0'"),
     ("sigma-d", "x", "sigma-d must be a number, got 'x'"),
     ("mode", "x", "mode must be one of bilateral, multilateral, average; got 'x'"),
 ])
@@ -207,6 +208,21 @@ def test_config_integer_past_the_float_range_is_usage_error(tmp_path, gray_file,
     config.write_text(f'{{"{flag}": {"9" * 400}}}')
     assert main([command, "--config", str(config), gray_file, str(tmp_path / "o.pgm")]) == 2
     assert capsys.readouterr().err == f"edgekeep: error: {flag} is too large for a float\n"
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"radius": 3.0}, "radius must be an integer, got 3.0"),
+    ({"radius": "3"}, "radius must be an integer, got '3'"),
+    ({"sigma-d": "2.0"}, "sigma-d must be a number, got '2.0'"),
+])
+def test_config_number_gets_the_verdict_of_its_flag(tmp_path, gray_file, capsys, config,
+                                                     message):
+    # The same verdicts as --radius 3.0 (test_bad_flag_value_prints_one_error_line):
+    # an integer option takes 3 only, and a config number is a JSON number.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["filter", "--config", str(cfg), gray_file, str(tmp_path / "o.pgm")]) == 2
+    assert capsys.readouterr().err == f"edgekeep: error: {message}\n"
 
 
 def test_unknown_config_key_rejected(tmp_path, gray_file, capsys):

@@ -615,7 +615,7 @@ def test_engine_matches_oracle_fuzzed(data):
     assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12
 
 
-def test_multilateral_passes_peak_below_eight_image_arrays(monkeypatch):
+def test_multilateral_passes_peak_below_eight_image_arrays(monkeypatch, no_spare_energies):
     # Each pass's texture map peaks at about 6.2 image arrays on top of the
     # pass input; the previous pass's output and labels are let go first.
     monkeypatch.setattr(kernels, "_WORKERS", 1)

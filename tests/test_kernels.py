@@ -242,6 +242,21 @@ def test_window_mean_of_two_factors_is_the_window_mean_of_their_product(data):
         assert np.array_equal(window_mean(a, r, times=b), expected)
 
 
+@pytest.mark.parametrize("r, bands", [(1, 25), (4, 6), (25, 1), (30, 1)])
+def test_separable_bands_are_at_least_2r_rows_tall(monkeypatch, r, bands):
+    # Each band reruns the row pass over its 2r halo rows, so none is shorter,
+    # even where the sample budget asks for one row per band.
+    field = np.random.default_rng(23).random((50, 7))
+    expected = window_mean(field, r)  # one band
+    heights = []
+    real_halo = kernels._halo
+    monkeypatch.setattr(kernels, "_halo", lambda field, y0, y1, *rest: (
+        heights.append(y1 - y0), real_halo(field, y0, y1, *rest))[1])
+    monkeypatch.setattr(kernels, "_BAND_SAMPLES", 1)
+    assert np.array_equal(window_mean(field, r), expected)
+    assert len(heights) == bands and min(heights) >= min(2 * r, 50)
+
+
 @pytest.mark.parametrize("shape", [(1, 5), (4, 1), (5, 4), (4, 5, 1), ()])
 def test_window_mean_rejects_a_factor_of_another_shape(shape):
     # (1, 5), (4, 1) and () would broadcast against the (4, 5) field.

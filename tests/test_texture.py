@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from edgekeep import kernels
+from edgekeep import kernels, texture
 from edgekeep.image import ImageBuffer, load_pnm, save_pnm
 from edgekeep.kernels import convolve, gaussian_derivative_taps, window_mean
 from edgekeep.texture import (
@@ -410,7 +412,7 @@ def test_texture_stage_is_bit_identical_to_one_band(data):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_texture_map_peaks_below_six_and_a_half_image_arrays(monkeypatch):
+def test_texture_map_peaks_below_six_and_a_half_image_arrays(monkeypatch, no_spare_energies):
     # bx, by and the four energy planes are image-sized; the products, the
     # padded rows and the half trace are band-sized.
     monkeypatch.setattr(kernels, "_WORKERS", 1)
@@ -471,3 +473,58 @@ def test_export_gray_levels():
     data = save_pnm(img)
     assert load_pnm(data).pixels.shape == (2, 3)
     assert list(data[-6:]) == list(EXPORT_GRAY_LEVELS)
+
+
+# --- the spare energy block ---
+
+def _images(count: int, shape=(48, 40)) -> list[ImageBuffer]:
+    rng = np.random.default_rng(31)
+    return [ImageBuffer(rng.random(shape)) for _ in range(count)]
+
+
+def test_a_second_map_of_one_shape_reuses_the_energy_block(monkeypatch, no_spare_energies):
+    blocks = []
+    real = texture.local_energy
+    monkeypatch.setattr(texture, "local_energy",
+                        lambda *args: blocks.append(real(*args)) or blocks[-1])
+    a, b = _images(2)
+    expected = compute_texture_map(b).labels
+    compute_texture_map(a)
+    assert np.array_equal(compute_texture_map(b).labels, expected)
+    assert np.shares_memory(blocks[1], blocks[2])
+    compute_texture_map(ImageBuffer(a.pixels.T))  # another shape: a block of its own
+    assert not np.shares_memory(blocks[3], blocks[2])
+
+
+def test_energies_a_caller_holds_are_never_reused(no_spare_energies):
+    a, b, c = _images(3)
+    compute_texture_map(a)  # leaves its block for the next of this shape
+    energies = local_energy(decompose(a.pixels))
+    held = energies.copy()
+    for img in (b, c, b):
+        compute_texture_map(img)
+    assert np.array_equal(energies, held)
+
+
+def test_concurrent_texture_maps_get_the_serial_labels(no_spare_energies):
+    images = _images(4)
+    expected = [compute_texture_map(img).labels for img in images]
+    got = {}
+
+    def run(index: int) -> None:
+        got[index] = [compute_texture_map(images[index % 4]).labels for _ in range(12)]
+
+    threads = [threading.Thread(target=run, args=(index,)) for index in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between almost every bytecode
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(got) == list(range(8))
+    for index, labels in got.items():
+        assert all(np.array_equal(each, expected[index % 4]) for each in labels)
