@@ -34,6 +34,9 @@ def test_encoded_outputs_match_the_golden_digests():
                for mode in ("bilateral", "multilateral", "average")}
     outputs["filter_image rgb bilateral"] = save_pnm(filter_image(rgb, rgb_params, "bilateral"))
     outputs["texture_map_image gray"] = save_pnm(texture_map_image(compute_texture_map(gray)))
+    # gray_multilateral_1024's own input: 1024 rows run in many bands
+    outputs["texture_map_image gray 1024"] = save_pnm(texture_map_image(
+        compute_texture_map(load_pnm(inputs.gray_mosaic_pgm(1, 0)))))
     for seed in (1, 2, 3):
         outputs[f"report_to_csv run_bench base_seed={seed}"] = \
             report_to_csv(run_bench(base_seed=seed)).encode()
