@@ -3,13 +3,13 @@ the row-band runner of every image-sized stage.
 
 Both texture kernels are separable: the steerable derivative pair is
 d(u) g(v) and g(u) d(v), and the energy window is a box. Each is applied as
-a row pass over a band's padded rows followed by a column pass. No
-whole-field padded copy is made: each band builds its own halo, slicing the
-rows inside the image and repeating the edge row or column outside it, the
-package's one boundary rule. Every pass sums mirror-paired taps,
-P(x - k) + P(x + k) for an even pair and P(x - k) - P(x + k) for an odd
-pair, before multiplying once, so a horizontal or vertical flip of the input
-flips an even pass's output exactly and negates an odd pass's output
+a column pass over a band's padded rows, then a row pass over its own rows
+alone. No whole-field padded copy is made: each band builds its own halo,
+slicing the rows inside the image and repeating the edge row or column
+outside it, the package's one boundary rule. Every pass sums mirror-paired
+taps, P(x - k) + P(x + k) for an even pair and P(x - k) - P(x + k) for an
+odd pair, before multiplying once, so a horizontal or vertical flip of the
+input flips an even pass's output exactly and negates an odd pass's output
 exactly.
 
 These passes, the texture energies and labels, and the filter passes run in
@@ -52,9 +52,9 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def _run_bands(rows: int, row_samples: int, band, min_rows: int = 1) -> None:
+def _run_bands(rows: int, row_samples: int, band) -> None:
     """Call band(y0, y1) for balanced bands (heights differ by one row at most) of
-    about _BAND_SAMPLES samples, and min_rows rows or more, over `rows` rows of `row_samples`.
+    about _BAND_SAMPLES samples over `rows` rows of `row_samples`.
 
     Up to _WORKERS threads, the calling thread among them, pull bands from one
     iterator; a single band runs alone on the calling thread, with no lock or
@@ -63,7 +63,7 @@ def _run_bands(rows: int, row_samples: int, band, min_rows: int = 1) -> None:
     runs itself: a helper queued behind the thread that waits for it is
     cancelled, not waited for.
     """
-    count = max(1, min(rows // min_rows, -(-rows * row_samples // _BAND_SAMPLES)))
+    count = max(1, min(rows, -(-rows * row_samples // _BAND_SAMPLES)))
     if count == 1:
         return band(0, rows)
     bands = iter((rows * i // count, rows * (i + 1) // count) for i in range(count))
@@ -169,11 +169,11 @@ def _halo(field: np.ndarray, y0: int, y1: int, r: int, times=None) -> np.ndarray
 
 def _separable(field: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,
                out: np.ndarray, divisor: float = 1.0, times=None) -> np.ndarray:
-    """Row pass, then column pass, over `field` (or field * times) padded by the
-    taps' radius, into `out`, each sample then divided by `divisor` unless it is
-    1; in bands of 2r rows or more, as each pads (_halo) and row-passes its own
-    2r halo rows. A radius above the image bound (image.check_radius) raises a
-    ValueError first; an empty field gives `out`.
+    """Column pass, then row pass, over `field` (or field * times) padded by the
+    taps' radius, into `out`, each sample divided by `divisor` unless that is 1.
+    Each band pads its rows (_halo), and its column pass reads its 2r halo rows
+    but keeps its own, so no row is passed twice. A radius above the image bound
+    (image.check_radius) raises a ValueError first; an empty field gives `out`.
     """
     if field.ndim != 2:
         raise ValueError(f"expected an (h, w) field, got shape {field.shape}")
@@ -183,12 +183,12 @@ def _separable(field: np.ndarray, col_taps: np.ndarray, row_taps: np.ndarray,
         return out
 
     def band(y0: int, y1: int) -> None:
-        rows = _taps_pass(_halo(field, y0, y1, r, times), row_taps, 1)
-        _taps_pass(rows, col_taps, 0, out[y0:y1])
+        cols = _taps_pass(_halo(field, y0, y1, r, times), col_taps, 0)
+        _taps_pass(cols, row_taps, 1, out[y0:y1])
         if divisor != 1.0:
             np.divide(out[y0:y1], divisor, out=out[y0:y1])
 
-    _run_bands(out.shape[0], field.shape[1] + 2 * r, band, max(1, 2 * r))
+    _run_bands(out.shape[0], field.shape[1] + 2 * r, band)
     return out
 
 
@@ -199,7 +199,7 @@ def convolve(field, col_taps, row_taps) -> np.ndarray:
     field(x - u, y - v), where u runs along x (columns) and v along y (rows).
     Takes an (h, w) array, such as a gray image's pixels, and returns an
     unclamped float64 field of the same shape. Each row band pads its own
-    rows; a row pass over them is followed by a column pass. Orientation fix:
+    rows; a column pass over them is followed by a row pass. Orientation fix:
     row taps with a single tap at u = 1 shift image content by +1 along x.
     """
     field = np.asarray(field, dtype=np.float64)
@@ -214,16 +214,19 @@ def convolve(field, col_taps, row_taps) -> np.ndarray:
 def window_mean(field: np.ndarray, radius: int, *, times: np.ndarray | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Mean of `field`, or of field * times (of the field's shape), over the
-    (2r+1)^2 window centered at each pixel, written to `out` (a float64 array
-    of the field's shape) when given; no product field is made.
+    (2r+1)^2 window centered at each pixel, written to `out` when given: a float64
+    array of the field's shape that overlaps no input. No product field is made.
 
-    A direct sum, rows then columns, with mirror-paired samples; no running
+    A direct sum, columns then rows, with mirror-paired samples; no running
     or summed-area sums, whose cancellation drifts.
     """
     radius = check_count("radius", radius)
     field = np.asarray(field, dtype=np.float64)
     if times is not None and np.shape(times) != field.shape:
         raise ValueError(f"times has shape {np.shape(times)}, not the field's {field.shape}")
+    if out is not None and (getattr(out, "dtype", None) != np.float64 or out.shape != field.shape
+                            or any(np.may_share_memory(out, a) for a in (field, times))):
+        raise ValueError(f"out must be a float64 {field.shape} array that overlaps no input")
     ones = np.ones(2 * radius + 1)
     return _separable(field, ones, ones, np.empty(field.shape) if out is None else out,
                       float(len(ones) ** 2), times)

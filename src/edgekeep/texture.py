@@ -126,8 +126,8 @@ def decompose(field: np.ndarray,
               sigma_g: float = DEFAULT_SIGMA_G) -> tuple[np.ndarray, np.ndarray]:
     """The steerable basis pair (bx, by) of an (h, w) array, such as a gray
     image's pixels: bx = d(u) g(v) and by = g(u) d(v), separable convolutions
-    over taps of radius steerable_radius(sigma_g), each a row pass and a
-    column pass over mirror-paired taps. The band at angle theta is
+    over taps of radius steerable_radius(sigma_g), each a column pass and a
+    row pass over mirror-paired taps. The band at angle theta is
     cos(theta) * bx + sin(theta) * by. A radius above the image bound
     (image.check_radius) raises a ValueError before the taps are built."""
     sigma_g = check_sigma("sigma_g", sigma_g, finite=True)

@@ -242,19 +242,29 @@ def test_window_mean_of_two_factors_is_the_window_mean_of_their_product(data):
         assert np.array_equal(window_mean(a, r, times=b), expected)
 
 
-@pytest.mark.parametrize("r, bands", [(1, 25), (4, 6), (25, 1), (30, 1)])
-def test_separable_bands_are_at_least_2r_rows_tall(monkeypatch, r, bands):
-    # Each band reruns the row pass over its 2r halo rows, so none is shorter,
-    # even where the sample budget asks for one row per band.
+@pytest.mark.parametrize("r", [1, 4, 25, 30])
+def test_separable_row_passes_cover_each_row_once(monkeypatch, r):
+    # The column pass reads each band's 2r halo rows and keeps only its own, so
+    # one-row bands give the one-band bits, and the row passes of all bands
+    # together see each of the 50 rows once, for radii past the band and past
+    # the field's height alike.
     field = np.random.default_rng(23).random((50, 7))
     expected = window_mean(field, r)  # one band
-    heights = []
-    real_halo = kernels._halo
+    heights, row_pass_rows = [], []
+    real_halo, real_taps_pass = kernels._halo, kernels._taps_pass
     monkeypatch.setattr(kernels, "_halo", lambda field, y0, y1, *rest: (
         heights.append(y1 - y0), real_halo(field, y0, y1, *rest))[1])
+
+    def taps_pass(src, taps, axis, *rest):
+        if axis == 1:
+            row_pass_rows.append(src.shape[0])
+        return real_taps_pass(src, taps, axis, *rest)
+
+    monkeypatch.setattr(kernels, "_taps_pass", taps_pass)
     monkeypatch.setattr(kernels, "_BAND_SAMPLES", 1)
     assert np.array_equal(window_mean(field, r), expected)
-    assert len(heights) == bands and min(heights) >= min(2 * r, 50)
+    assert heights == [1] * 50
+    assert sum(row_pass_rows) == 50
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (4, 1), (5, 4), (4, 5, 1), ()])
@@ -347,6 +357,20 @@ def test_empty_fields_give_empty_results(shape):
     energies = local_energy((field, field))
     assert energies.shape == (4,) + shape
     assert classify(energies).shape == shape
+
+
+@pytest.mark.parametrize("case", ["field", "times", "short", "long", "int64"])
+def test_window_mean_rejects_an_out_it_cannot_fill(monkeypatch, case):
+    # An out that is the field or the factor would be read by later bands after
+    # earlier ones wrote it; one of another shape or dtype would be cut, padded
+    # or cast by the bands.
+    monkeypatch.setattr(kernels, "_BAND_SAMPLES", 64)  # the 20 rows run in 5 bands
+    field = np.random.default_rng(5).random((20, 12))
+    times = field + 1.0
+    out = {"field": field, "times": times, "short": np.empty((18, 12)),
+           "long": np.empty((22, 12)), "int64": np.empty((20, 12), np.int64)}[case]
+    with pytest.raises(ValueError, match=r"^out must be a float64 \(20, 12\) array"):
+        window_mean(field, 2, times=times, out=out)
 
 
 # --- band runs ---

@@ -10,12 +10,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edgekeep import kernels, texture
-from edgekeep.image import ImageBuffer, load_pnm, save_pnm
+from edgekeep.image import ImageBuffer, check_radius, load_pnm, save_pnm
 from edgekeep.kernels import convolve, gaussian_derivative_taps, window_mean
 from edgekeep.texture import (
     EXPORT_GRAY_LEVELS,
@@ -399,7 +399,14 @@ def _texture_stage(field, sigma_g, window_radius):
 def test_texture_stage_is_bit_identical_to_one_band(data):
     h, w = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 60))
     field = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random((h, w))
-    stage = (field, data.draw(st.sampled_from([0.5, 1.0, 1.5])), data.draw(st.integers(1, 3)))
+    # Steerable radii up to 15 and energy radii up to 30 run past one-row bands
+    # and past the field itself.
+    stage = (field, data.draw(st.floats(0.5, 5.0)), data.draw(st.integers(1, 30)))
+    try:
+        for r in (steerable_radius(stage[1]), stage[2]):
+            check_radius("radius", r, field.shape)
+    except ValueError:
+        reject()
     budget = data.draw(st.sampled_from([1, 50, 400]) | st.integers(1, 4 * 60 * 60))
     workers = data.draw(st.integers(1, 3))
     with pytest.MonkeyPatch.context() as mp:
