@@ -580,16 +580,26 @@ def test_engine_matches_oracle_window_larger_than_image():
             assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12, (shape, mode)
 
 
-@pytest.mark.parametrize("shape, mode, params", [
-    ((13, 17, 3), FilterMode.BILATERAL, FilterParams(sigma_r=0.01)),
-    ((15, 19), FilterMode.MULTILATERAL, FilterParams(sigma_t=0.02)),
-    ((15, 19), FilterMode.MULTILATERAL, FilterParams(sigma_t=0.05)),
+@pytest.mark.parametrize("shape, mode, params, floored", [
+    ((13, 17, 3), FilterMode.BILATERAL, FilterParams(sigma_r=0.01), True),
+    ((15, 19), FilterMode.MULTILATERAL, FilterParams(sigma_t=0.02), True),
+    ((15, 19), FilterMode.MULTILATERAL, FilterParams(sigma_t=0.05), False),
 ], ids=["rgb-bilateral-sigma_r-0.01", "multilateral-sigma_t-0.02", "multilateral-sigma_t-0.05"])
-def test_engine_matches_oracle_where_exp_underflows(monkeypatch, shape, mode, params):
-    # Many weights here lie below e^-700 or underflow to 0 in the oracle.
+def test_engine_matches_oracle_where_exp_underflows(monkeypatch, shape, mode, params, floored):
+    # Many weights here lie below e^-700 or underflow to 0 in the oracle. The
+    # engine asks exp for nothing below its -700 floor, and reaches the floor
+    # where some exponent lies below it.
     img = ImageBuffer(np.random.default_rng(18).random(shape))
     _use_bands(monkeypatch, img, params.window_radius, 3, 2)
+    lows, exp = [], np.exp
+
+    def spied(x, *args, **kwargs):
+        lows.append(np.min(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spied)
     fast = filter_image(img, params, mode)
+    assert min(lows) >= -700.0 and (min(lows) == -700.0) == floored
     slow = filter_oracle(img, params, mode)
     assert np.abs(fast.pixels - slow.pixels).max() <= 1e-12
 

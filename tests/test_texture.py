@@ -309,6 +309,17 @@ def test_constant_image_is_all_smooth():
         assert np.all(tex.labels == TextureClass.SMOOTH)
 
 
+@pytest.mark.parametrize("amplitude, smooth", [(3e-6, False), (3e-8, True)])
+def test_adaptive_threshold_floor_decides_near_flat_images(amplitude, smooth):
+    # Mean energies about 1.5e-11 and 1.5e-15. The first image's threshold is a
+    # tenth of its mean, below every pixel's largest energy (4.4e-12 and up);
+    # the second's is the 1e-12 floor, above every pixel's (9.2e-15 at most).
+    # So a floor outside (9.2e-15, 4.4e-12] flips one image's labels.
+    img = ImageBuffer(0.5 + amplitude * np.random.default_rng(0).standard_normal((32, 32)))
+    labels = compute_texture_map(img).labels
+    assert np.all((labels == TextureClass.SMOOTH) == smooth)
+
+
 def test_gratings_classify_by_variation_axis():
     tex_x = compute_texture_map(grating(48, "x"))
     assert np.all(interior(tex_x.labels) == TextureClass.ORIENT_0)
