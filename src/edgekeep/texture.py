@@ -149,7 +149,7 @@ def local_energy(basis, window_radius: int = TextureParams.energy_window_radius)
     from their two factors band by band, edge rows and columns repeated.
     """
     window_radius = check_count("window_radius", window_radius)
-    bx, by = basis
+    bx, by = (np.asarray(plane, dtype=np.float64) for plane in basis)
     if bx.ndim != 2 or by.shape != bx.shape:
         raise ValueError(f"expected two (h, w) fields, got shapes {bx.shape} and {by.shape}")
     check_radius("window_radius", window_radius, bx.shape)

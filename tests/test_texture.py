@@ -152,6 +152,13 @@ def test_local_energy_matches_window_loop():
                 assert abs(energy[k, y, x] - expected) <= 1e-12
 
 
+def test_local_energy_takes_array_likes():
+    # As decompose, classify and window_mean do: list planes give the array result.
+    bx, by = decompose(np.random.default_rng(2).random((9, 11)))
+    expected = local_energy((bx, by))
+    assert local_energy((bx.tolist(), by.tolist())).tobytes() == expected.tobytes()
+
+
 def test_energy_field_rejects_negative():
     bad = np.zeros((4, 3, 3))
     bad[0, 0, 0] = -1.0
