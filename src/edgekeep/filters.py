@@ -14,10 +14,10 @@ edge pixel. Every weight factor is symmetric in the pixel pair, so the engine
 computes one weight per unordered pair, w(x, x + d) == w(x + d, x), and applies
 it to all channels and to both ends of the pair. Each window is summed in
 mirror quads, {+d, -d} pairs whose total no horizontal or vertical flip
-changes, so flipped inputs produce exactly flipped outputs. A weight is one exp
-of its summed exponents, floored at -700 where exp would slow. Each quad's
-numerators and denominator are stacked in one (c + 1)-row sum. Average mode is
-bilateral mode at sigma_d = sigma_r = inf, whose unit weights the engine skips.
+changes, so flipped inputs produce exactly flipped outputs. Each quad's sums are
+stacked in one (c + 1)-row array. A weight is one exp of its summed exponents.
+An offset whose bound on them is below -700 floors them there, where exp slows;
+one whose bound is 0 (all sigmas inf, as in average mode) weighs 1, with no exp.
 """
 
 from __future__ import annotations
@@ -111,21 +111,19 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
     x0, n_kept = m * width + m, (h - 1) * width + w
     longest = n_kept + x0  # the run of d = (m, m); each offset uses a prefix
     diffs, weights, squares = np.empty((c, longest)), np.empty(longest), np.empty(longest)
-    differs = np.empty(longest, dtype=bool)
     neg_inv_2sr2 = -0.5 / (params.sigma_r ** 2)
     inv_2sd2 = 0.5 / (params.sigma_d ** 2)
     neg_inv_2st2 = -0.5 / (params.sigma_t ** 2)  # where labels differ, else 0
-    # The lowest range and texture exponent of any pair: samples lie in [0, 1].
+    # Samples lie in [0, 1], so an offset's exponents lie in [lowest - spatial, 0].
     lowest = c * neg_inv_2sr2 + (0.0 if flat_labels is None else neg_inv_2st2)
-    weighted = not (flat_labels is None and params.sigma_d == params.sigma_r == math.inf)
 
     def pair_sums(di: int, dj: int, sums: np.ndarray) -> None:
         """Numerator and denominator sums of offsets +d and -d, d = (di, dj) forward.
 
-        The c numerator rows go to sums[:c] and the denominator to sums[c],
-        2.0 (two unit weights) unless `weighted`. Each pair (q, q + s), q in
-        [x0 - s, x0 + N), is weighted once: pixel x reads it as q = x for +d
-        and as q = x - s for -d, whose weighted diff is exactly the negation.
+        The c numerator rows go to sums[:c] and the denominator to sums[c].
+        Each pair (q, q + s), q in [x0 - s, x0 + N), is weighted once: pixel x
+        reads it as q = x for +d and as q = x - s for -d, whose weighted diff
+        is exactly the negation.
         """
         s = dj * width + di  # > 0: dj >= 1, or dj = 0 and di >= 1
         n = n_kept + s
@@ -133,17 +131,19 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
         fwd, bwd = slice(s, s + n_kept), slice(0, n_kept)
         diff = diffs[:, :n]
         np.subtract(flat[:, ahead], flat[:, centres], out=diff)
-        if weighted:
+        spatial = (di * di + dj * dj) * inv_2sd2
+        if lowest - spatial == 0.0:  # every exponent is 0: two unit weights
+            sums[c] = 2.0
+        else:
             weight = weights[:n]
             np.square(diff[0], out=weight)
             for plane in diff[1:]:
                 weight += np.square(plane, out=squares[:n])
             np.multiply(weight, neg_inv_2sr2, out=weight)
-            spatial = (di * di + dj * dj) * inv_2sd2
             weight -= spatial
-            if flat_labels is not None:
-                np.not_equal(flat_labels[ahead], flat_labels[centres], out=differs[:n])
-                weight += np.multiply(differs[:n], neg_inv_2st2, out=squares[:n])
+            if flat_labels is not None:  # 1.0 where labels differ, scaled in place
+                label_term = np.not_equal(flat_labels[ahead], flat_labels[centres], out=squares[:n])
+                weight += np.multiply(label_term, neg_inv_2st2, out=label_term)
             # exp is tenfold slower and more near underflow; raising a weight to
             # e^-700 (about 1e-304) moves an output by at most that per neighbour.
             if lowest - spatial < -700.0:
@@ -151,8 +151,6 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
             np.exp(weight, out=weight)
             diff *= weight
             np.add(weight[fwd], weight[bwd], out=sums[c])
-        else:
-            sums[c] = 2.0
         np.subtract(diff[:, fwd], diff[:, bwd], out=sums[:c])
 
     # Contributions accumulate relative to the center sample, so constant
@@ -167,16 +165,14 @@ def _filter_band(band: np.ndarray, flat_labels: np.ndarray | None, params: Filte
     total = totals.reshape(c + 1, -1)[:, :n_kept]
     total[:c].fill(0.0)
     total[c].fill(1.0)
-    for k in range(1, m + 1):
-        for di, dj in ((k, 0), (0, k)):
-            pair_sums(di, dj, sums)
-            total += sums
-    for dj in range(1, m + 1):
-        for di in range(1, m + 1):
-            pair_sums(di, dj, sums)
-            pair_sums(-di, dj, sums_b)
+    mirror_sets = [[d] for k in range(1, m + 1) for d in ((k, 0), (0, k))]
+    mirror_sets += [[(di, dj), (-di, dj)] for dj in range(1, m + 1) for di in range(1, m + 1)]
+    for first, *mirrors in mirror_sets:
+        pair_sums(*first, sums)
+        for d in mirrors:
+            pair_sums(*d, sums_b)
             sums += sums_b
-            total += sums
+        total += sums
     kept = totals[:, :, :w]  # the crop
     np.divide(kept[:c], kept[c], out=kept[:c])
     np.add(band[:, m:m + h, m:m + w], kept[:c], out=kept[:c])

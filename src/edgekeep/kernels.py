@@ -22,7 +22,6 @@ neither band size nor core count.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -56,28 +55,25 @@ def _run_bands(rows: int, row_samples: int, band) -> None:
     """Call band(y0, y1) for balanced bands (heights differ by one row at most) of
     about _BAND_SAMPLES samples over `rows` rows of `row_samples`.
 
-    Up to _WORKERS threads, the calling thread among them, pull bands from one
-    iterator; a single band runs alone on the calling thread, with no lock or
-    pool. Once the calling thread finds no band left, it cancels the helpers
-    that never started and waits only for the others, so a band may start band
-    runs itself: a helper queued behind the thread that waits for it is
-    cancelled, not waited for.
+    Up to _WORKERS threads, the calling thread among them, pop bands from one
+    list, top band first, until each pops a None: the list holds one per thread
+    below the bands, and list.pop is atomic, so each band has one taker and no
+    pop finds the list empty. A single band takes the same path on the calling
+    thread alone, with no helper submitted. Once the calling thread finds
+    no band left, it cancels the helpers that never started and waits only for
+    the others, so a band may start band runs itself: a helper queued behind
+    the thread that waits for it is cancelled, not waited for.
     """
     count = max(1, min(rows, -(-rows * row_samples // _BAND_SAMPLES)))
-    if count == 1:
-        return band(0, rows)
-    bands = iter((rows * i // count, rows * (i + 1) // count) for i in range(count))
-    lock = threading.Lock()
+    threads = min(_WORKERS, count)
+    bands = [None] * threads + [(rows * i // count, rows * (i + 1) // count)
+                                for i in reversed(range(count))]
 
     def work_through_bands() -> None:
-        while True:
-            with lock:
-                bounds = next(bands, None)
-            if bounds is None:
-                return
+        for bounds in iter(bands.pop, None):
             band(*bounds)
 
-    futures = [_pool.submit(work_through_bands) for _ in range(1, min(_WORKERS, count))]
+    futures = [_pool.submit(work_through_bands) for _ in range(1, threads)]
     try:
         work_through_bands()
     finally:

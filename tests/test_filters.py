@@ -220,8 +220,9 @@ def test_infinite_sigmas_bilateral_is_average_bit_for_bit(shape):
 
 
 def test_unit_weight_shortcut_follows_from_the_parameters(monkeypatch):
-    # Average mode and bilateral mode at sigma_d = sigma_r = inf weigh every
-    # pair 1 and call no exp; finite sigmas or a label map need the weights.
+    # Average mode, bilateral mode at sigma_d = sigma_r = inf and multilateral
+    # mode at sigma_d = sigma_r = sigma_t = inf weigh every pair 1 and call no
+    # exp; a finite sigma in play needs the weights.
     img = ImageBuffer(np.random.default_rng(6).random((9, 8)))
     calls, exp = [], np.exp
 
@@ -234,7 +235,10 @@ def test_unit_weight_shortcut_follows_from_the_parameters(monkeypatch):
     for mode, params, weighted in ((FilterMode.AVERAGE, FilterParams(), False),
                                    (FilterMode.BILATERAL, infinite, False),
                                    (FilterMode.BILATERAL, FilterParams(), True),
-                                   (FilterMode.MULTILATERAL, infinite, True)):
+                                   (FilterMode.MULTILATERAL, infinite, True),
+                                   (FilterMode.MULTILATERAL,
+                                    FilterParams(sigma_d=math.inf, sigma_r=math.inf,
+                                                 sigma_t=math.inf), False)):
         calls.clear()
         filter_image(img, params, mode, _flat_tex(9, 8))
         assert bool(calls) == weighted, (mode, params)
